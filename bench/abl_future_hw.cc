@@ -96,7 +96,7 @@ main(int argc, char **argv)
             upmem::SystemConfig cfg;
             cfg.numDpus = opt.dpus;
             variant.apply(cfg);
-            const upmem::UpmemSystem sys(cfg);
+            const upmem::UpmemSystem sys(cfg, opt.observers());
 
             double totals[3];
             for (unsigned algo = 0; algo < 3; ++algo) {

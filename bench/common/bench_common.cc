@@ -6,16 +6,12 @@
 #include <cstring>
 #include <map>
 
-#include "analysis/checker.hh"
-#include "analysis/imbalance.hh"
 #include "common/cli.hh"
 #include "common/logging.hh"
 #include "perf/fingerprint.hh"
 #include "perf/manifest.hh"
-#include "perf/record.hh"
 #include "telemetry/host_prof.hh"
 #include "telemetry/telemetry.hh"
-#include "telemetry/timeline.hh"
 
 namespace alphapim::bench
 {
@@ -62,7 +58,6 @@ BenchOptions
 parseOptions(int argc, char **argv)
 {
     BenchOptions opt;
-    std::string check_list;
     if (const char *env = std::getenv("ALPHAPIM_SCALE"))
         opt.scale = std::atof(env);
     if (const char *env = std::getenv("ALPHAPIM_EDGE_TARGET"))
@@ -92,28 +87,6 @@ parseOptions(int argc, char **argv)
             opt.metricsOut = next();
         } else if (arg == "--json-out") {
             opt.jsonOut = next();
-        } else if (arg == "--check") {
-            opt.check = true;
-            if (args.hasInlineValue())
-                check_list = args.inlineValue();
-        } else if (arg == "--check-out") {
-            opt.check = true;
-            opt.checkOut = next();
-        } else if (arg == "--check-inject") {
-            opt.check = true;
-            opt.checkInject = next();
-            bool known = false;
-            for (unsigned k = 0; k < analysis::numFindingKinds; ++k)
-                known = known ||
-                        opt.checkInject ==
-                            analysis::findingKindName(
-                                static_cast<analysis::FindingKind>(k));
-            if (!known) {
-                std::fprintf(stderr,
-                             "--check-inject: unknown kind '%s'\n",
-                             opt.checkInject.c_str());
-                usage(argv[0]);
-            }
         } else if (arg == "--host-prof") {
             // Bare --host-prof means on; value form takes on|off.
             if (!args.hasInlineValue() ||
@@ -130,7 +103,7 @@ parseOptions(int argc, char **argv)
             }
         } else if (arg == "--log-level") {
             opt.logLevel = next();
-        } else {
+        } else if (!opt.check.parse(args, [argv] { usage(argv[0]); })) {
             usage(argv[0]);
         }
     }
@@ -159,7 +132,7 @@ parseOptions(int argc, char **argv)
         telemetry::metrics().setEnabled(true);
         // Imbalance analytics ride on the same outputs: imbalance.*
         // / roofline.* metrics and the v4 record block.
-        analysis::imbalance().setEnabled(true);
+        opt.imbalance = std::make_shared<analysis::ImbalanceObserver>();
     }
     if (opt.hostProf &&
         (!opt.traceOut.empty() || !opt.metricsOut.empty() ||
@@ -171,17 +144,23 @@ parseOptions(int argc, char **argv)
         telemetry::hostProfiler().reset();
         telemetry::hostProfiler().setEnabled(true);
     }
-    if (opt.check) {
-        analysis::CheckOptions sel;
-        std::string error;
-        if (!analysis::CheckOptions::parseList(check_list, sel,
-                                               &error)) {
-            std::fprintf(stderr, "--check: %s\n", error.c_str());
-            usage(argv[0]);
-        }
-        analysis::checker().enable(sel);
+    std::string error;
+    if (!opt.check.makeChecker(&error)) {
+        std::fprintf(stderr, "--check: %s\n", error.c_str());
+        usage(argv[0]);
     }
     return opt;
+}
+
+upmem::LaunchObservers
+BenchOptions::observers() const
+{
+    upmem::LaunchObservers out;
+    if (check.checker)
+        out.push_back(check.checker);
+    if (imbalance)
+        out.push_back(imbalance);
+    return out;
 }
 
 double
@@ -232,11 +211,11 @@ datasetList(const BenchOptions &opt,
 }
 
 upmem::UpmemSystem
-makeSystem(unsigned dpus)
+makeSystem(const BenchOptions &opt, unsigned dpus)
 {
     upmem::SystemConfig cfg;
     cfg.numDpus = dpus;
-    return upmem::UpmemSystem(cfg);
+    return upmem::UpmemSystem(cfg, opt.observers());
 }
 
 void
@@ -273,19 +252,8 @@ datasetFingerprintFor(const std::string &abbreviation)
     return it == fps.end() ? 0 : it->second;
 }
 
-namespace
-{
-
-constexpr const char *kXferCounters[6] = {
-    "xfer.scatters",   "xfer.scatter_bytes",
-    "xfer.gathers",    "xfer.gather_bytes",
-    "xfer.broadcasts", "xfer.broadcast_bytes",
-};
-
-} // namespace
-
-RunRecorder::RunRecorder(const BenchOptions &opt, std::string bench)
-    : opt_(opt), bench_(std::move(bench))
+RunRecorder::RunRecorder(BenchOptions opt, std::string bench)
+    : opt_(std::move(opt)), bench_(std::move(bench))
 {
     // Records carry a timeline summary, which needs spans; when the
     // user did not ask for a trace file, run the tracer privately.
@@ -317,25 +285,12 @@ RunRecorder::begin()
     if (!recording_)
         recording_ =
             std::make_unique<telemetry::RecordingScope>();
-    for (std::size_t i = 0; i < 6; ++i)
-        xferStart_[i] =
-            telemetry::metrics().counterValue(kXferCounters[i]);
-    analysis::imbalance().beginRun();
-    // Per-run host window: each record's host block covers exactly
-    // one begin()..emit() span.
-    telemetry::hostProfiler().reset();
     if (ownsTracer_) {
         // Private tracer: restart per run, so every timeline begins
         // at model time zero and memory stays bounded.
         telemetry::tracer().clear();
-        eventStart_ = 0;
-    } else {
-        eventStart_ = telemetry::tracer().totalEventCount();
     }
-    wallStart_ =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count();
+    window_ = perf::beginRunWindow(opt_.imbalance.get());
 }
 
 void
@@ -367,71 +322,21 @@ RunRecorder::emit(const std::string &dataset,
     key.dpus = dpusOverride != 0 ? dpusOverride : opt_.dpus;
     key.seed = opt_.seed;
 
-    perf::XferCounts xfer;
-    perf::TimelineSummary timeline;
-    perf::ImbalanceSummary imbalance;
-    perf::HostSummary host;
-    double wall = -1.0;
-    const perf::XferCounts *xfer_ptr = nullptr;
-    const perf::TimelineSummary *timeline_ptr = nullptr;
-    const perf::ImbalanceSummary *imbalance_ptr = nullptr;
-    const perf::HostSummary *host_ptr = nullptr;
+    std::string line;
     if (began_) {
-        std::uint64_t now[6];
-        for (std::size_t i = 0; i < 6; ++i)
-            now[i] = telemetry::metrics().counterValue(
-                kXferCounters[i]);
-        xfer.scatters = now[0] - xferStart_[0];
-        xfer.scatterBytes = now[1] - xferStart_[1];
-        xfer.gathers = now[2] - xferStart_[2];
-        xfer.gatherBytes = now[3] - xferStart_[3];
-        xfer.broadcasts = now[4] - xferStart_[4];
-        xfer.broadcastBytes = now[5] - xferStart_[5];
-        xfer_ptr = &xfer;
-        const std::vector<telemetry::TraceEvent> events =
-            telemetry::tracer().eventsSince(eventStart_);
-        if (!events.empty()) {
-            const telemetry::Timeline tl =
-                telemetry::buildTimeline(events);
-            if (!tl.launches.empty()) {
-                const telemetry::TimelineStats stats =
-                    telemetry::computeStats(tl);
-                telemetry::recordTimelineMetrics(
-                    stats, telemetry::metrics());
-                timeline = perf::summarizeTimeline(tl, stats);
-                timeline_ptr = &timeline;
-            }
-        }
-        const analysis::RunImbalance run_imbalance =
-            analysis::imbalance().collectRun();
-        if (run_imbalance.launches > 0) {
-            imbalance = perf::summarizeImbalance(run_imbalance);
-            imbalance_ptr = &imbalance;
-        }
-        wall = std::chrono::duration<double>(
-                   std::chrono::steady_clock::now()
-                       .time_since_epoch())
-                   .count() -
-               wallStart_;
-        if (telemetry::hostProfiler().enabled()) {
-            // Publishes host.* metrics and the "host_profile" trace
-            // event as a side effect, so --metrics-out/--trace-out
-            // carry the same observatory data as the record.
-            host = perf::summarizeHost(
-                telemetry::publishHostProfile(times.total()));
-            host_ptr = &host;
-        }
+        line = perf::encodeRunWindow(
+            window_, manifest, key,
+            static_cast<std::uint64_t>(iterations), times, profile,
+            opt_.imbalance.get(), serve);
         began_ = false;
         recording_.reset();
+    } else {
+        line = perf::encodeRunRecord(
+            manifest, key, static_cast<std::uint64_t>(iterations),
+            times, profile, nullptr, -1.0, nullptr, nullptr, nullptr,
+            serve);
     }
-
-    telemetry::appendJsonlRecord(
-        opt_.jsonOut,
-        perf::encodeRunRecord(manifest, key,
-                              static_cast<std::uint64_t>(iterations),
-                              times, profile, xfer_ptr, wall,
-                              timeline_ptr, imbalance_ptr, host_ptr,
-                              serve));
+    telemetry::appendJsonlRecord(opt_.jsonOut, line);
 }
 
 int
@@ -448,22 +353,7 @@ writeTelemetryOutputs(const BenchOptions &opt)
         telemetry::finishTraceOutput(opt.traceOut);
     if (!opt.metricsOut.empty())
         telemetry::writeMetricsFile(opt.metricsOut);
-    if (!opt.check)
-        return 0;
-
-    if (!opt.checkInject.empty()) {
-        for (unsigned k = 0; k < analysis::numFindingKinds; ++k) {
-            const auto kind = static_cast<analysis::FindingKind>(k);
-            if (opt.checkInject == analysis::findingKindName(kind)) {
-                analysis::Finding f;
-                f.kind = kind;
-                f.detail =
-                    "synthetic finding injected by --check-inject";
-                analysis::checker().injectFinding(std::move(f));
-            }
-        }
-    }
-    return analysis::finalizeCheckReport(opt.checkOut);
+    return opt.check.finish();
 }
 
 } // namespace alphapim::bench

@@ -39,9 +39,12 @@
 #include <string>
 #include <vector>
 
+#include "analysis/checker.hh"
+#include "analysis/imbalance.hh"
 #include "common/random.hh"
 #include "common/table.hh"
 #include "core/phase_times.hh"
+#include "perf/record.hh"
 #include "sparse/datasets.hh"
 #include "sparse/sparse_vector.hh"
 #include "upmem/upmem_system.hh"
@@ -49,11 +52,6 @@
 namespace alphapim::telemetry
 {
 class RecordingScope;
-}
-
-namespace alphapim::perf
-{
-struct ServeSummary;
 }
 
 namespace alphapim::bench
@@ -72,19 +70,26 @@ struct BenchOptions
     std::string traceOut;   ///< Chrome trace JSON path ("" = off)
     std::string metricsOut; ///< metrics JSONL path ("" = off)
     std::string jsonOut;    ///< per-run record JSONL path ("" = off)
-    std::string checkOut;   ///< pim-verify JSON report ("" = off)
-    std::string checkInject; ///< synthetic finding kind ("" = off)
     std::string logLevel;   ///< "" = leave the level alone
-    bool check = false;     ///< run the pim-verify analyzer
+    analysis::CheckFlags check; ///< pim-verify flags and checker
+
+    /** Imbalance observer; set when records or metrics are asked
+     * for. */
+    std::shared_ptr<analysis::ImbalanceObserver> imbalance;
 
     /** Host-performance observatory; --host-prof=off clears it. Only
      * takes effect when some telemetry output is requested. */
     bool hostProf = true;
+
+    /** The checker and imbalance observer, whichever are on: attach
+     * them to every system the bench launches on. */
+    upmem::LaunchObservers observers() const;
 };
 
 /** Parse argv; prints usage and exits on --help or bad flags.
  * Enables the telemetry tracer / metrics registry and applies the
- * log level as a side effect of the corresponding flags. */
+ * log level as a side effect of the corresponding flags, and builds
+ * the observers the flags ask for. */
 BenchOptions parseOptions(int argc, char **argv);
 
 /** Effective generation scale for one dataset spec. */
@@ -100,8 +105,9 @@ std::vector<std::string> datasetList(
     const BenchOptions &opt,
     const std::vector<std::string> &defaults);
 
-/** Build the simulated UPMEM machine with `dpus` DPUs. */
-upmem::UpmemSystem makeSystem(unsigned dpus);
+/** Build the simulated UPMEM machine with `dpus` DPUs and the
+ * options' observers attached. */
+upmem::UpmemSystem makeSystem(const BenchOptions &opt, unsigned dpus);
 
 /** Banner with the run configuration (printed by every bench). */
 void printRunHeader(const std::string &experiment,
@@ -159,7 +165,7 @@ std::uint64_t datasetFingerprintFor(const std::string &abbreviation);
 class RunRecorder
 {
   public:
-    RunRecorder(const BenchOptions &opt, std::string bench);
+    RunRecorder(BenchOptions opt, std::string bench);
     ~RunRecorder();
 
     /** Start a measured region: snapshot the xfer counters, the
@@ -189,11 +195,10 @@ class RunRecorder
               const perf::ServeSummary *serve = nullptr);
 
   private:
-    const BenchOptions &opt_;
+    const BenchOptions opt_;
     std::string bench_;
     bool began_ = false;
-    double wallStart_ = 0.0;
-    std::uint64_t xferStart_[6] = {};
+    perf::RunWindow window_;
     std::unique_ptr<telemetry::RecordingScope> recording_;
 
     /** True when this recorder enabled the tracer itself (records
@@ -201,7 +206,6 @@ class RunRecorder
      * to reconstruct the per-run execution timeline, and the buffer
      * is cleared at each begin() to keep memory bounded. */
     bool ownsTracer_ = false;
-    std::size_t eventStart_ = 0; ///< trace position at begin()
 };
 
 /** Write the --trace-out / --metrics-out files if requested, print

@@ -26,7 +26,7 @@ main(int argc, char **argv)
 
     const auto names =
         datasetList(opt, {"r-PA", "p2p-24", "e-En", "s-S11", "as00"});
-    const auto sys = makeSystem(opt.dpus);
+    const auto sys = makeSystem(opt, opt.dpus);
     const std::vector<KernelVariant> variants = {
         KernelVariant::SpmvCoo1d, KernelVariant::SpmvCooRow1d,
         KernelVariant::SpmvCsrRow1d, KernelVariant::SpmvDcoo2d};

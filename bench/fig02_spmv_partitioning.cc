@@ -28,7 +28,7 @@ main(int argc, char **argv)
     const auto names = datasetList(
         opt, {"A302", "as00", "ca-Q", "cit-HP", "e-En", "face",
               "loc-b", "p2p-24", "s-S02", "s-S11", "flk-E"});
-    const auto sys = makeSystem(opt.dpus);
+    const auto sys = makeSystem(opt, opt.dpus);
 
     RunRecorder recorder(opt, "fig02");
     TextTable table("normalized to the 1D total per dataset");

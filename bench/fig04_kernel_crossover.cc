@@ -90,7 +90,7 @@ main(int argc, char **argv)
         "Figure 4: per-iteration SpMV vs SpMSpV (BFS, SSSP)", opt);
 
     const auto names = datasetList(opt, {"A302", "r-TX"});
-    const auto sys = makeSystem(opt.dpus);
+    const auto sys = makeSystem(opt, opt.dpus);
     RunRecorder recorder(opt, "fig04");
     for (const auto &name : names) {
         const auto data = loadDataset(name, opt);

@@ -28,7 +28,7 @@ main(int argc, char **argv)
 
     const auto names = datasetList(
         opt, {"face", "e-En", "s-S11", "p2p-24", "g-18", "r-PA"});
-    const auto sys = makeSystem(opt.dpus);
+    const auto sys = makeSystem(opt, opt.dpus);
     const std::vector<double> densities = {0.01, 0.10, 0.50};
     const std::vector<KernelVariant> variants = {
         KernelVariant::SpmspvCoo, KernelVariant::SpmspvCscR,

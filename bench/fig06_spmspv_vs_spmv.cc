@@ -24,7 +24,7 @@ main(int argc, char **argv)
 
     const auto names = datasetList(
         opt, {"A302", "as00", "s-S11", "p2p-24", "e-En", "face"});
-    const auto sys = makeSystem(opt.dpus);
+    const auto sys = makeSystem(opt, opt.dpus);
     const std::vector<double> densities = {0.01, 0.10, 0.30, 0.50};
 
     std::map<unsigned, std::vector<double>> ratios;

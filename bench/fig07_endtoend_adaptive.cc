@@ -48,7 +48,7 @@ main(int argc, char **argv)
 
     const auto names = datasetList(
         opt, {"A302", "as00", "s-S11", "p2p-24", "e-En", "face"});
-    const auto sys = makeSystem(opt.dpus);
+    const auto sys = makeSystem(opt, opt.dpus);
     const char *algo_names[] = {"BFS", "SSSP", "PPR"};
     const char *paper[] = {"1.72x", "1.34x", "1.22x"};
 

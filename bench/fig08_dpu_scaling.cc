@@ -65,7 +65,7 @@ main(int argc, char **argv)
 
             double norm = 0.0;
             for (unsigned di = 0; di < dpu_counts.size(); ++di) {
-                const auto sys = makeSystem(dpu_counts[di]);
+                const auto sys = makeSystem(opt, dpu_counts[di]);
                 apps::AppConfig cfg;
                 if (algo == 2)
                     cfg.pprTolerance = 0.0;

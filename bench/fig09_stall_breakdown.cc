@@ -26,7 +26,7 @@ main(int argc, char **argv)
     printRunHeader("Figure 9: DPU active/idle cycle breakdown", opt);
 
     const auto names = datasetList(opt, {"A302", "e-En", "face"});
-    const auto sys = makeSystem(opt.dpus);
+    const auto sys = makeSystem(opt, opt.dpus);
     const std::vector<double> densities = {0.01, 0.10, 0.50};
 
     RunRecorder recorder(opt, "fig09");

@@ -21,7 +21,7 @@ main(int argc, char **argv)
                    opt);
 
     const auto names = datasetList(opt, {"A302", "e-En", "face"});
-    const auto sys = makeSystem(opt.dpus);
+    const auto sys = makeSystem(opt, opt.dpus);
     const unsigned tasklets = sys.config().dpu.tasklets;
     const std::vector<double> densities = {0.01, 0.10, 0.50};
 

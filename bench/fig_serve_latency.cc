@@ -93,7 +93,7 @@ main(int argc, char **argv)
         opt);
 
     const auto names = datasetList(opt, {"as00", "e-En"});
-    const auto sys = makeSystem(opt.dpus);
+    const auto sys = makeSystem(opt, opt.dpus);
     RunRecorder recorder(opt, "fig_serve_latency");
 
     bool batching_wins = true;

@@ -27,7 +27,7 @@ main(int argc, char **argv)
 
     const auto names =
         datasetList(opt, {"A302", "e-En", "face", "r-PA"});
-    const auto sys = makeSystem(opt.dpus);
+    const auto sys = makeSystem(opt, opt.dpus);
     const core::KernelSwitchModel model;
     const std::vector<double> offsets = {-0.20, -0.10, 0.0, 0.10,
                                          0.20};

@@ -47,7 +47,7 @@ main(int argc, char **argv)
 
     const auto names = datasetList(
         opt, {"A302", "as00", "s-S11", "p2p-24", "e-En", "face"});
-    const auto sys = makeSystem(opt.dpus);
+    const auto sys = makeSystem(opt, opt.dpus);
     const SystemComparison cmp(sys);
     const Algo algos[] = {Algo::Bfs, Algo::Sssp, Algo::Ppr};
 

@@ -8,31 +8,7 @@ namespace alphapim::analysis
 {
 
 void
-TraceCapture::start(bool skip_replay)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    launches_.clear();
-    skipReplay_ = skip_replay;
-    enabled_.store(true, std::memory_order_relaxed);
-}
-
-std::vector<CapturedLaunch>
-TraceCapture::stop()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    enabled_.store(false, std::memory_order_relaxed);
-    return std::exchange(launches_, {});
-}
-
-bool
-TraceCapture::skipReplay() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return skipReplay_;
-}
-
-void
-TraceCapture::beginLaunch(unsigned num_dpus)
+TraceCapture::onLaunchBegin(const upmem::LaunchInfo &, unsigned num_dpus)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     launches_.emplace_back();
@@ -40,21 +16,22 @@ TraceCapture::beginLaunch(unsigned num_dpus)
 }
 
 void
-TraceCapture::captureDpu(unsigned dpu,
-                         const std::vector<upmem::TaskletTrace> &traces)
+TraceCapture::onDpuTraces(unsigned dpu,
+                          const std::vector<upmem::TaskletTrace> &traces,
+                          const upmem::DpuConfig &)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     ALPHA_ASSERT(!launches_.empty() &&
                      dpu < launches_.back().dpuTraces.size(),
-                 "captureDpu outside an open launch group");
+                 "captured DPU outside an open launch group");
     launches_.back().dpuTraces[dpu] = traces;
 }
 
-TraceCapture &
-capture()
+std::vector<CapturedLaunch>
+TraceCapture::take()
 {
-    static TraceCapture instance;
-    return instance;
+    std::lock_guard<std::mutex> lock(mutex_);
+    return std::exchange(launches_, {});
 }
 
 } // namespace alphapim::analysis

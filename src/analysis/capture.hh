@@ -1,23 +1,25 @@
 /**
  * @file
- * Trace capture: a process-wide tap on kernel launches that collects
- * the per-tasklet traces every DPU generated, optionally skipping the
- * revolver replay. The model checker (src/analysis/modelcheck/) uses
- * it to harvest synchronization skeletons from real kernel runs on
- * small abstract partitions without paying for timing simulation.
+ * Trace capture: a LaunchObserver that collects the per-tasklet traces
+ * every DPU generated and turns the revolver replay off. The model
+ * checker (src/analysis/modelcheck/) attaches one to the small system
+ * it builds, to harvest synchronization skeletons from real kernel
+ * runs on small abstract partitions without paying for timing
+ * simulation. Kernels still execute functionally; their timing comes
+ * back zero.
  *
- * Like the trace checker, the capture is a singleton consulted by
- * UpmemSystem::launchKernel; it is disabled by default and every
- * entry point is a cheap no-op until a tool enables it.
+ * onLaunchBegin() opens a launch group; onDpuTraces() runs
+ * concurrently from the launch worker pool and stores into it. The
+ * capture lives as long as the harvesting code holds it.
  */
 
 #ifndef ALPHA_PIM_ANALYSIS_CAPTURE_HH
 #define ALPHA_PIM_ANALYSIS_CAPTURE_HH
 
-#include <atomic>
 #include <mutex>
 #include <vector>
 
+#include "upmem/launch_observer.hh"
 #include "upmem/trace.hh"
 
 namespace alphapim::analysis
@@ -29,54 +31,29 @@ struct CapturedLaunch
     std::vector<std::vector<upmem::TaskletTrace>> dpuTraces;
 };
 
-/**
- * Thread-safe collector of launch traces.
- *
- * beginLaunch() / captureDpu() are called by UpmemSystem::launchKernel
- * (the latter concurrently from the launch worker pool); start() /
- * stop() bracket a capture session in the harvesting tool.
- */
-class TraceCapture
+/** Thread-safe collector of launch traces. */
+class TraceCapture : public upmem::LaunchObserver
 {
   public:
-    /** True when launches should be captured. */
-    bool
-    enabled() const
-    {
-        return enabled_.load(std::memory_order_relaxed);
-    }
-
-    /**
-     * Start capturing, dropping anything captured before.
-     *
-     * @param skip_replay when true, captured launches skip the
-     *        revolver replay entirely (timing comes back zero); the
-     *        kernels still execute functionally.
-     */
-    void start(bool skip_replay = true);
-
-    /** Stop capturing and hand back everything captured. */
-    std::vector<CapturedLaunch> stop();
-
-    /** True when captured launches skip the revolver replay. */
-    bool skipReplay() const;
+    /** Captured launches skip the replay. */
+    bool replays() const override { return false; }
 
     /** Open a new launch group of `num_dpus` DPU slots. */
-    void beginLaunch(unsigned num_dpus);
+    void onLaunchBegin(const upmem::LaunchInfo &info,
+                       unsigned num_dpus) override;
 
     /** Store one DPU's traces into the current launch group. */
-    void captureDpu(unsigned dpu,
-                    const std::vector<upmem::TaskletTrace> &traces);
+    void onDpuTraces(unsigned dpu,
+                     const std::vector<upmem::TaskletTrace> &traces,
+                     const upmem::DpuConfig &cfg) override;
+
+    /** Hand back everything captured so far, leaving none behind. */
+    std::vector<CapturedLaunch> take();
 
   private:
-    std::atomic<bool> enabled_{false};
-    mutable std::mutex mutex_;
-    bool skipReplay_ = true;
+    std::mutex mutex_;
     std::vector<CapturedLaunch> launches_;
 };
-
-/** The process-wide trace capture. */
-TraceCapture &capture();
 
 } // namespace alphapim::analysis
 

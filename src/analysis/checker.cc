@@ -460,38 +460,14 @@ CheckOptions::parseList(std::string_view list, CheckOptions &out,
 }
 
 void
-TraceChecker::enable(const CheckOptions &opts)
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        opts_ = opts;
-    }
-    enabled_.store(opts.any(), std::memory_order_relaxed);
-}
-
-void
-TraceChecker::disable()
-{
-    enabled_.store(false, std::memory_order_relaxed);
-}
-
-CheckOptions
-TraceChecker::options() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return opts_;
-}
-
-void
 TraceChecker::analyzeDpu(unsigned dpu,
                          const std::vector<upmem::TaskletTrace> &traces,
                          const upmem::DpuConfig &cfg)
 {
-    if (!enabled())
+    if (!opts_.any())
         return;
-    const CheckOptions opts = options();
 
-    DpuAnalysis a(opts, cfg, dpu);
+    DpuAnalysis a(opts_, cfg, dpu);
     a.barrierSeqs.resize(traces.size());
     unsigned nonEmpty = 0;
     for (unsigned t = 0; t < traces.size(); ++t) {
@@ -500,15 +476,15 @@ TraceChecker::analyzeDpu(unsigned dpu,
         ++nonEmpty;
         a.walkTasklet(t, traces[t]);
     }
-    if (opts.barrier) {
+    if (opts_.barrier) {
         std::vector<bool> participants(traces.size());
         for (unsigned t = 0; t < traces.size(); ++t)
             participants[t] = !traces[t].empty();
         a.checkBarriers(participants);
     }
-    if (opts.lock)
+    if (opts_.lock)
         a.checkLockGraph();
-    if (opts.race)
+    if (opts_.race)
         a.checkRaces();
 
     std::uint64_t newTotal = 0;
@@ -573,16 +549,15 @@ std::string
 TraceChecker::reportJson() const
 {
     const AnalysisReport rep = report();
-    const CheckOptions opts = options();
 
     telemetry::JsonWriter w;
     w.beginObject();
     w.key("schema").value("alpha-pim-analysis-v1");
     w.key("options").beginObject();
-    w.key("race").value(opts.race);
-    w.key("lock").value(opts.lock);
-    w.key("barrier").value(opts.barrier);
-    w.key("dma").value(opts.dma);
+    w.key("race").value(opts_.race);
+    w.key("lock").value(opts_.lock);
+    w.key("barrier").value(opts_.barrier);
+    w.key("dma").value(opts_.dma);
     w.endObject();
     w.key("dpus_checked").value(rep.dpusChecked);
     w.key("traces_checked").value(rep.tracesChecked);
@@ -629,17 +604,65 @@ TraceChecker::writeReport(const std::string &path) const
     return out.good();
 }
 
-TraceChecker &
-checker()
+bool
+CheckFlags::parse(CliArgs &args, const std::function<void()> &usage)
 {
-    static TraceChecker instance;
-    return instance;
+    const std::string &arg = args.arg();
+    if (arg == "--check") {
+        if (args.hasInlineValue())
+            families = args.inlineValue();
+    } else if (arg == "--check-out") {
+        out = args.value();
+    } else if (arg == "--check-inject") {
+        const std::string kind = args.value();
+        inject.reset();
+        for (unsigned k = 0; k < numFindingKinds; ++k) {
+            if (kind == findingKindName(static_cast<FindingKind>(k)))
+                inject = static_cast<FindingKind>(k);
+        }
+        if (!inject) {
+            std::fprintf(stderr, "--check-inject: unknown kind '%s'\n",
+                         kind.c_str());
+            usage();
+        }
+    } else {
+        return false;
+    }
+    on = true;
+    return true;
+}
+
+bool
+CheckFlags::makeChecker(std::string *error)
+{
+    if (!on)
+        return true;
+    CheckOptions sel;
+    if (!CheckOptions::parseList(families, sel, error))
+        return false;
+    checker = std::make_shared<TraceChecker>(sel);
+    return true;
 }
 
 int
-finalizeCheckReport(const std::string &report_path)
+CheckFlags::finish() const
 {
-    const AnalysisReport report = checker().report();
+    if (!checker)
+        return 0;
+    if (inject) {
+        Finding f;
+        f.kind = *inject;
+        f.detail = "synthetic finding injected by --check-inject";
+        checker->injectFinding(std::move(f));
+    }
+    return finalizeCheckReport(*checker, out);
+}
+
+int
+finalizeCheckReport(const TraceChecker &checker,
+                    const std::string &report_path)
+{
+    const AnalysisReport report = checker.report();
     std::printf("\npim-verify: %llu finding(s) across %llu DPU "
                 "launches checked\n",
                 static_cast<unsigned long long>(report.total()),
@@ -650,7 +673,7 @@ finalizeCheckReport(const std::string &report_path)
         std::printf("  ... and %llu more (not retained)\n",
                     static_cast<unsigned long long>(report.dropped));
     if (!report_path.empty()) {
-        if (!checker().writeReport(report_path)) {
+        if (!checker.writeReport(report_path)) {
             std::fprintf(stderr, "cannot write check report '%s'\n",
                          report_path.c_str());
             return 2;

@@ -15,23 +15,29 @@
  *  - DMA legality: 8-byte alignment and granularity, the 1..2048-byte
  *    hardware transfer range, and staging within wramChunkBytes.
  *
- * The checker is a process-wide singleton (like the telemetry
- * registry) so UpmemSystem::launchKernel can consult it without
- * plumbing; it is disabled by default and every entry point is a
- * cheap no-op until a tool enables it.
+ * The checker is a LaunchObserver: a tool that wants checked runs
+ * builds one (CheckFlags does it for the --check flags) and attaches
+ * it to the UpmemSystem it launches on. Its onDpuTraces() hook runs
+ * concurrently from the launch worker pool, once per DPU; findings
+ * accumulate for the checker's lifetime, which the tool shares with
+ * every system it is attached to.
  */
 
 #ifndef ALPHA_PIM_ANALYSIS_CHECKER_HH
 #define ALPHA_PIM_ANALYSIS_CHECKER_HH
 
-#include <atomic>
+#include <functional>
+#include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "analysis/findings.hh"
+#include "common/cli.hh"
 #include "upmem/dpu_config.hh"
+#include "upmem/launch_observer.hh"
 #include "upmem/trace.hh"
 
 namespace alphapim::analysis
@@ -72,9 +78,13 @@ struct CheckOptions
  * pool; each call analyzes one DPU's traces on the calling thread
  * and folds the results into the shared report under a lock.
  */
-class TraceChecker
+class TraceChecker : public upmem::LaunchObserver
 {
   public:
+    /** A checker running the `opts` families (none selected: every
+     * analyzeDpu() is a no-op). */
+    explicit TraceChecker(CheckOptions opts = {}) : opts_(opts) {}
+
     /** Stored-finding cap across the whole run; occurrences beyond
      * it are still counted, just not retained. */
     static constexpr std::size_t maxStoredFindings = 256;
@@ -82,24 +92,11 @@ class TraceChecker
     /** Stored-finding cap per analyzed DPU. */
     static constexpr std::size_t maxStoredPerDpu = 32;
 
-    /** True when launches should be analyzed. */
-    bool
-    enabled() const
-    {
-        return enabled_.load(std::memory_order_relaxed);
-    }
-
-    /** Enable checking with the given family selection. */
-    void enable(const CheckOptions &opts);
-
-    /** Stop checking (accumulated findings are kept). */
-    void disable();
-
-    /** The active family selection. */
-    CheckOptions options() const;
+    /** The family selection. */
+    const CheckOptions &options() const { return opts_; }
 
     /**
-     * Analyze the traces of one DPU (no-op while disabled).
+     * Analyze the traces of one DPU.
      *
      * @param dpu    DPU index (for finding attribution)
      * @param traces one trace per tasklet, as passed to the scheduler
@@ -108,6 +105,15 @@ class TraceChecker
     void analyzeDpu(unsigned dpu,
                     const std::vector<upmem::TaskletTrace> &traces,
                     const upmem::DpuConfig &cfg);
+
+    /** Launch hook: analyzeDpu() on every DPU of every launch. */
+    void
+    onDpuTraces(unsigned dpu,
+                const std::vector<upmem::TaskletTrace> &traces,
+                const upmem::DpuConfig &cfg) override
+    {
+        analyzeDpu(dpu, traces, cfg);
+    }
 
     /**
      * Fold one externally-produced finding into the report. Used by
@@ -135,14 +141,10 @@ class TraceChecker
     bool writeReport(const std::string &path) const;
 
   private:
-    std::atomic<bool> enabled_{false};
+    const CheckOptions opts_;
     mutable std::mutex mutex_;
-    CheckOptions opts_;
     AnalysisReport report_;
 };
-
-/** The process-wide trace checker. */
-TraceChecker &checker();
 
 /** One-line console rendering of a finding. */
 std::string describeFinding(const Finding &f);
@@ -157,13 +159,52 @@ const char *dmaViolation(const upmem::TraceRecord &r,
                          const upmem::DpuConfig &cfg);
 
 /**
- * The shared --check epilogue of the CLI and every bench binary:
- * print the finding summary of the process-wide checker, write the
- * JSON report when `report_path` is non-empty, and return the
- * uniform process exit status -- 0 clean, 2 when the report cannot
- * be written, 3 when there are findings.
+ * The --check front end of the CLI and every bench binary: the
+ * --check[=FAMILIES], --check-out FILE and --check-inject KIND flags,
+ * the checker they ask for, and the epilogue that reports on it.
  */
-int finalizeCheckReport(const std::string &report_path);
+struct CheckFlags
+{
+    bool on = false;      ///< some --check flag was given
+    std::string families; ///< the --check= list ("" = all)
+    std::string out;      ///< --check-out report path ("" = none)
+    std::optional<FindingKind> inject; ///< --check-inject kind
+
+    /** The run's checker; set by makeChecker(). */
+    std::shared_ptr<TraceChecker> checker;
+
+    /**
+     * Consume the current flag of `args` when it is a --check flag.
+     * An unknown --check-inject kind is reported on stderr, then
+     * `usage` is called.
+     *
+     * @return false when the flag is not a --check flag
+     */
+    bool parse(CliArgs &args, const std::function<void()> &usage);
+
+    /**
+     * Build the checker for the parsed family list (no-op while no
+     * --check flag was given).
+     *
+     * @return false, with *error set, when the list does not parse
+     */
+    bool makeChecker(std::string *error);
+
+    /** The epilogue: fold the --check-inject finding into the
+     * checker, then finalizeCheckReport() to the --check-out path.
+     * @return the process exit status (0 when no --check flag) */
+    int finish() const;
+};
+
+/**
+ * The shared --check epilogue of the CLI and every bench binary:
+ * print the finding summary of `checker`, write the JSON report when
+ * `report_path` is non-empty, and return the uniform process exit
+ * status -- 0 clean, 2 when the report cannot be written, 3 when
+ * there are findings.
+ */
+int finalizeCheckReport(const TraceChecker &checker,
+                        const std::string &report_path);
 
 } // namespace alphapim::analysis
 

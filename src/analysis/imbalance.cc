@@ -12,22 +12,6 @@ namespace alphapim::analysis
 namespace
 {
 
-/**
- * Local stall-reason name table. alpha_upmem links against
- * alpha_analysis, so this library cannot call upmem's
- * stallReasonName() without a cycle; the table mirrors it and the
- * static_assert keeps the two in lockstep.
- */
-constexpr const char *kStallNames[] = {
-    "memory",
-    "revolver",
-    "rf-hazard",
-    "sync",
-};
-static_assert(sizeof(kStallNames) / sizeof(kStallNames[0]) ==
-                  static_cast<std::size_t>(upmem::StallReason::NumReasons),
-              "stall name table out of sync with StallReason");
-
 /** Gini coefficient of a non-negative sample vector (0 when the sum
  * is 0 or fewer than two samples). */
 double
@@ -142,7 +126,8 @@ computeLaunchImbalance(const std::string &kernel,
             worst_reason = r;
     }
     if (crit.stallCycles[worst_reason] > 0) {
-        li.stragglerStall = kStallNames[worst_reason];
+        li.stragglerStall = upmem::stallReasonName(
+            static_cast<upmem::StallReason>(worst_reason));
         li.stragglerStallFraction = crit.stallFraction(
             static_cast<upmem::StallReason>(worst_reason));
     }
@@ -183,44 +168,16 @@ computeLaunchImbalance(const std::string &kernel,
 }
 
 void
-ImbalanceObserver::setEnabled(bool on)
-{
-    enabled_.store(on, std::memory_order_relaxed);
-}
-
-void
-ImbalanceObserver::setLaunchContext(
-    std::string kernel, std::vector<sparse::PartitionShare> shares)
-{
-    if (!enabled())
-        return;
-    std::lock_guard<std::mutex> lock(mutex_);
-    pendingKernel_ = std::move(kernel);
-    pendingShares_ = std::move(shares);
-    hasPending_ = true;
-}
-
-void
-ImbalanceObserver::recordLaunch(
+ImbalanceObserver::onLaunchEnd(
+    const upmem::LaunchInfo &info,
     const std::vector<upmem::DpuProfile> &profiles,
     const upmem::DpuConfig &cfg)
 {
-    if (!enabled())
-        return;
-    std::string kernel;
-    std::vector<sparse::PartitionShare> shares;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (hasPending_) {
-            kernel = std::move(pendingKernel_);
-            shares = std::move(pendingShares_);
-            pendingKernel_.clear();
-            pendingShares_.clear();
-            hasPending_ = false;
-        }
-    }
-    LaunchImbalance li =
-        computeLaunchImbalance(kernel, profiles, shares, cfg);
+    LaunchImbalance li = computeLaunchImbalance(
+        info.kernel, profiles,
+        info.shares ? info.shares()
+                    : std::vector<sparse::PartitionShare>{},
+        cfg);
 
     auto &m = telemetry::metrics();
     if (m.enabled()) {
@@ -248,9 +205,6 @@ ImbalanceObserver::beginRun()
 {
     std::lock_guard<std::mutex> lock(mutex_);
     launches_.clear();
-    pendingKernel_.clear();
-    pendingShares_.clear();
-    hasPending_ = false;
 }
 
 std::vector<LaunchImbalance>
@@ -335,13 +289,6 @@ ImbalanceObserver::collectRun() const
     run.roofline.memoryBoundFraction =
         memory_bound / static_cast<double>(launches_.size());
     return run;
-}
-
-ImbalanceObserver &
-imbalance()
-{
-    static ImbalanceObserver observer;
-    return observer;
 }
 
 } // namespace alphapim::analysis

@@ -20,15 +20,17 @@
  *    the pipeline-throughput and MRAM-bandwidth ceilings of the cycle
  *    model) classifying each launch compute- vs memory-bound.
  *
- * Like the trace checker and capture tap, the observer is a process-
- * wide singleton consulted by UpmemSystem::launchKernel; disabled by
- * default, every entry point is a cheap no-op until a tool enables it.
+ * The ImbalanceObserver is a LaunchObserver: the bench harness and the
+ * CLI build one when run records or metrics are requested and attach
+ * it to their systems. Only its onLaunchEnd() hook does work, on the
+ * launching thread; it joins the kernel's LaunchInfo shares with the
+ * folded per-DPU profiles. Launches accumulate until beginRun(), for
+ * as long as the owner holds the observer.
  */
 
 #ifndef ALPHA_PIM_ANALYSIS_IMBALANCE_HH
 #define ALPHA_PIM_ANALYSIS_IMBALANCE_HH
 
-#include <atomic>
 #include <cstddef>
 #include <mutex>
 #include <string>
@@ -36,6 +38,7 @@
 
 #include "sparse/partition_shares.hh"
 #include "upmem/dpu_config.hh"
+#include "upmem/launch_observer.hh"
 #include "upmem/profile.hh"
 
 namespace alphapim::analysis
@@ -248,7 +251,7 @@ struct RunImbalance
 
 /**
  * Fleet distribution analytics for one launch, pure function form
- * (unit-testable without the singleton).
+ * (unit-testable without an observer).
  *
  * @param kernel   kernel name for the report ("" when unknown)
  * @param profiles per-DPU profiles as folded by the launcher
@@ -263,37 +266,19 @@ computeLaunchImbalance(const std::string &kernel,
                        const upmem::DpuConfig &cfg);
 
 /**
- * Process-wide imbalance observer.
- *
- * Kernels publish their partition shares via setLaunchContext() right
- * before UpmemSystem::launchKernel; the launcher calls recordLaunch()
- * after its serial profile fold, which consumes the pending context.
+ * Imbalance observer: one LaunchImbalance per observed launch.
  * beginRun() / collectRun() bracket a measured region (the bench
  * harness and CLI wrap their timed iterations).
  */
-class ImbalanceObserver
+class ImbalanceObserver : public upmem::LaunchObserver
 {
   public:
-    /** True when launches should be analyzed. */
-    bool
-    enabled() const
-    {
-        return enabled_.load(std::memory_order_relaxed);
-    }
-
-    /** Enable or disable the observer (disabling keeps state). */
-    void setEnabled(bool on);
-
-    /** Publish the next launch's kernel name and partition shares.
-     * One slot: consumed and cleared by the next recordLaunch(). */
-    void setLaunchContext(std::string kernel,
-                          std::vector<sparse::PartitionShare> shares);
-
-    /** Analyze one launch's folded per-DPU profiles; joins the
-     * pending context, accumulates run state, and emits imbalance.* /
-     * roofline.* metrics when the registry is enabled. */
-    void recordLaunch(const std::vector<upmem::DpuProfile> &profiles,
-                      const upmem::DpuConfig &cfg);
+    /** Analyze one launch's folded per-DPU profiles joined with the
+     * kernel's partition shares; accumulates run state and emits
+     * imbalance.* / roofline.* metrics when the registry is enabled. */
+    void onLaunchEnd(const upmem::LaunchInfo &info,
+                     const std::vector<upmem::DpuProfile> &profiles,
+                     const upmem::DpuConfig &cfg) override;
 
     /** Drop accumulated launches and start a fresh measured region. */
     void beginRun();
@@ -305,16 +290,9 @@ class ImbalanceObserver
     std::vector<LaunchImbalance> launches() const;
 
   private:
-    std::atomic<bool> enabled_{false};
     mutable std::mutex mutex_;
-    std::string pendingKernel_;
-    std::vector<sparse::PartitionShare> pendingShares_;
-    bool hasPending_ = false;
     std::vector<LaunchImbalance> launches_;
 };
-
-/** The process-wide imbalance observer. */
-ImbalanceObserver &imbalance();
 
 } // namespace alphapim::analysis
 

@@ -1,6 +1,7 @@
 #include "analysis/modelcheck/extract.hh"
 
 #include <algorithm>
+#include <memory>
 #include <unordered_map>
 #include <utility>
 
@@ -88,17 +89,18 @@ foldLaunches(Extraction &out,
         out.lintFindings.end());
 }
 
-/** Run `subject` under the capture tap and fold what it launched. */
+/** Run `subject` on a tiny system with a trace capture attached and
+ * fold what it launched. */
 template <typename Fn>
 Extraction
-captureSubject(const upmem::UpmemSystem &sys,
-               const std::string &subject, Fn &&run)
+captureSubject(const ExtractOptions &opts, const std::string &subject,
+               Fn &&run)
 {
+    const auto capture = std::make_shared<TraceCapture>();
+    const upmem::UpmemSystem sys(smallConfig(opts), {capture});
+    run(sys);
     Extraction out;
-    capture().start(/*skip_replay=*/true);
-    run();
-    const std::vector<CapturedLaunch> launches = capture().stop();
-    foldLaunches(out, launches, sys.config().dpu, subject);
+    foldLaunches(out, capture->take(), sys.config().dpu, subject);
     return out;
 }
 
@@ -108,14 +110,16 @@ Extraction
 extractKernelSkeletons(core::KernelVariant variant,
                        const ExtractOptions &opts)
 {
-    const upmem::UpmemSystem sys(smallConfig(opts));
     const sparse::CooMatrix<float> a = tinyGraph(opts, false);
-    const auto kernel = core::makeKernel<core::IntPlusTimes>(
-        variant, sys, a, opts.dpus);
     const auto x = tinyVector<core::IntPlusTimes::Value>(
         a.numRows(), opts.xDensity);
-    return captureSubject(sys, core::kernelVariantName(variant),
-                          [&] { (void)kernel->run(x); });
+    return captureSubject(
+        opts, core::kernelVariantName(variant),
+        [&](const upmem::UpmemSystem &sys) {
+            (void)core::makeKernel<core::IntPlusTimes>(variant, sys, a,
+                                                      opts.dpus)
+                ->run(x);
+        });
 }
 
 const std::vector<std::string> &
@@ -131,27 +135,30 @@ extractAppSkeletons(const std::string &app,
                     core::MxvStrategy strategy,
                     const ExtractOptions &opts)
 {
-    const upmem::UpmemSystem sys(smallConfig(opts));
     const sparse::CooMatrix<float> a = tinyGraph(opts, app == "sssp");
     apps::AppConfig cfg;
     cfg.strategy = strategy;
     cfg.dpus = opts.dpus;
     const std::string subject =
         app + "/" + core::mxvStrategyName(strategy);
+    using System = upmem::UpmemSystem;
     if (app == "bfs") {
-        return captureSubject(
-            sys, subject, [&] { (void)apps::runBfs(sys, a, 0, cfg); });
+        return captureSubject(opts, subject, [&](const System &sys) {
+            (void)apps::runBfs(sys, a, 0, cfg);
+        });
     }
     if (app == "sssp") {
-        return captureSubject(
-            sys, subject, [&] { (void)apps::runSssp(sys, a, 0, cfg); });
+        return captureSubject(opts, subject, [&](const System &sys) {
+            (void)apps::runSssp(sys, a, 0, cfg);
+        });
     }
     if (app == "ppr") {
-        return captureSubject(
-            sys, subject, [&] { (void)apps::runPpr(sys, a, 0, cfg); });
+        return captureSubject(opts, subject, [&](const System &sys) {
+            (void)apps::runPpr(sys, a, 0, cfg);
+        });
     }
     if (app == "cc") {
-        return captureSubject(sys, subject, [&] {
+        return captureSubject(opts, subject, [&](const System &sys) {
             (void)apps::runConnectedComponents(sys, a, cfg);
         });
     }

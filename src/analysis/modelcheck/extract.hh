@@ -2,10 +2,12 @@
  * @file
  * Symbolic kernel execution: harvest synchronization skeletons from
  * the shipped kernels and applications by running them functionally
- * on tiny abstract partitions under the analysis::capture() tap --
- * with the revolver replay skipped, so extraction costs milliseconds
- * -- and folding the recorded traces into fingerprint-deduplicated
- * skeletons ready for the exhaustive-schedule explorer.
+ * on tiny abstract partitions -- each extraction builds its own small
+ * UpmemSystem with a TraceCapture attached, which skips the revolver
+ * replay, so extraction costs milliseconds -- and folding the
+ * recorded traces into fingerprint-deduplicated skeletons ready for
+ * the exhaustive-schedule explorer. The capture and system live only
+ * for the one extraction call.
  *
  * The abstraction is sound for the synchronization structure the
  * explorer checks because the kernels derive their mutex/barrier

@@ -27,8 +27,9 @@ namespace alphapim::core
 /**
  * Export the partitioner's per-DPU assignment in the kernel-agnostic
  * form the imbalance observatory joins with per-DPU profiles. Kernels
- * publish this via analysis::imbalance().setLaunchContext() right
- * before each launch.
+ * pass it to UpmemSystem::launchKernel as the lazily evaluated
+ * LaunchInfo::shares of each launch, so it is only computed when an
+ * attached LaunchObserver asks for it.
  */
 std::vector<sparse::PartitionShare>
 partitionShares(const std::vector<DeviceBlock> &blocks);
@@ -109,8 +110,8 @@ inline constexpr std::uint32_t kernelBarrier = 0;
 //
 // The kernels annotate their traces with the address ranges an
 // equivalent hand-written UPMEM kernel would touch, so the
-// pim-verify analyzer (src/analysis/) can check them against the
-// execution model. The layout is deliberately simple: per-DPU MRAM
+// pim-verify analyzer (a LaunchObserver in src/analysis/) can check
+// them against the execution model. The layout is deliberately simple: per-DPU MRAM
 // holds the matrix slice at the bottom, the (padded, stride-8) input
 // vector image in a middle region, and the (padded, stride-8) output
 // image in a top region; WRAM reserves its first wramChunkBytes for

@@ -17,7 +17,6 @@
 #include <memory>
 #include <mutex>
 
-#include "analysis/imbalance.hh"
 #include "common/logging.hh"
 #include "core/device_block.hh"
 #include "core/kernel_base.hh"
@@ -130,17 +129,14 @@ class CscSpmspv : public PimMxvKernel<S>
         std::uint64_t semiring_ops = 0;
         std::mutex merge_mutex;
 
-        if (analysis::imbalance().enabled()) {
-            analysis::imbalance().setLaunchContext(
-                this->name(), partitionShares(blocks_));
-        }
         const auto profile = sys_.launchKernel(
             static_cast<unsigned>(blocks_.size()),
             [&](unsigned dpu, std::vector<upmem::TaskletTrace> &tr) {
                 runOneDpu(dpu, x, x_slices[dpu], tr, result,
                           retrieve_bytes, merge_ops, semiring_ops,
                           merge_mutex);
-            });
+            },
+            {this->name(), [this] { return partitionShares(blocks_); }});
         result.profile = profile;
         result.times.kernel = sys_.kernelSeconds(profile);
         result.semiringOps = semiring_ops;
@@ -488,16 +484,13 @@ class RowMajorSpmspv : public PimMxvKernel<S>
         std::uint64_t semiring_ops = 0;
         std::mutex merge_mutex;
 
-        if (analysis::imbalance().enabled()) {
-            analysis::imbalance().setLaunchContext(
-                this->name(), partitionShares(blocks_));
-        }
         const auto profile = sys_.launchKernel(
             static_cast<unsigned>(blocks_.size()),
             [&](unsigned dpu, std::vector<upmem::TaskletTrace> &tr) {
                 runOneDpu(dpu, x, x_dense, tr, result, retrieve_bytes,
                           semiring_ops, merge_mutex);
-            });
+            },
+            {this->name(), [this] { return partitionShares(blocks_); }});
         result.profile = profile;
         result.times.kernel = sys_.kernelSeconds(profile);
         result.semiringOps = semiring_ops;

@@ -18,7 +18,6 @@
 #include <algorithm>
 #include <mutex>
 
-#include "analysis/imbalance.hh"
 #include "common/logging.hh"
 #include "core/device_block.hh"
 #include "core/kernel_base.hh"
@@ -105,16 +104,13 @@ class SpmvKernel : public PimMxvKernel<S>
         std::uint64_t semiring_ops = 0;
         std::mutex merge_mutex;
 
-        if (analysis::imbalance().enabled()) {
-            analysis::imbalance().setLaunchContext(
-                this->name(), partitionShares(blocks_));
-        }
         const auto profile = sys_.launchKernel(
             static_cast<unsigned>(blocks_.size()),
             [&](unsigned dpu, std::vector<upmem::TaskletTrace> &tr) {
                 runOneDpu(dpu, x_dense, tr, result, retrieve_bytes,
                           merge_ops, semiring_ops, merge_mutex);
-            });
+            },
+            {this->name(), [this] { return partitionShares(blocks_); }});
         result.profile = profile;
         result.times.kernel = sys_.kernelSeconds(profile);
         result.semiringOps = semiring_ops;
@@ -359,16 +355,13 @@ class SpmvRow1d : public PimMxvKernel<S>
         std::uint64_t semiring_ops = 0;
         std::mutex merge_mutex;
 
-        if (analysis::imbalance().enabled()) {
-            analysis::imbalance().setLaunchContext(
-                this->name(), partitionShares(blocks_));
-        }
         const auto profile = sys_.launchKernel(
             static_cast<unsigned>(blocks_.size()),
             [&](unsigned dpu, std::vector<upmem::TaskletTrace> &tr) {
                 runOneDpu(dpu, x_dense, tr, result, retrieve_bytes,
                           semiring_ops, merge_mutex);
-            });
+            },
+            {this->name(), [this] { return partitionShares(blocks_); }});
         result.profile = profile;
         result.times.kernel = sys_.kernelSeconds(profile);
         result.semiringOps = semiring_ops;

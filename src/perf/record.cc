@@ -1,11 +1,14 @@
 #include "record.hh"
 
 #include <algorithm>
+#include <chrono>
 #include <fstream>
 #include <tuple>
 
 #include "analysis/critical_path.hh"
 #include "core/result_json.hh"
+#include "telemetry/metrics.hh"
+#include "telemetry/trace.hh"
 
 namespace alphapim::perf
 {
@@ -472,6 +475,99 @@ summarizeHost(const telemetry::HostProfile &profile)
     s.tracerBytes = profile.tracerBytes;
     s.metricsBytes = profile.metricsBytes;
     return s;
+}
+
+namespace
+{
+
+constexpr const char *kXferCounters[6] = {
+    "xfer.scatters",   "xfer.scatter_bytes",
+    "xfer.gathers",    "xfer.gather_bytes",
+    "xfer.broadcasts", "xfer.broadcast_bytes",
+};
+
+double
+steadySeconds()
+{
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now().time_since_epoch())
+        .count();
+}
+
+} // namespace
+
+RunWindow
+beginRunWindow(analysis::ImbalanceObserver *imbalance)
+{
+    RunWindow w;
+    for (std::size_t i = 0; i < 6; ++i)
+        w.xferStart[i] =
+            telemetry::metrics().counterValue(kXferCounters[i]);
+    if (imbalance)
+        imbalance->beginRun();
+    // Per-run host window: each record's host block covers exactly
+    // one measured region.
+    telemetry::hostProfiler().reset();
+    w.traceStart = telemetry::tracer().totalEventCount();
+    w.wallStart = steadySeconds();
+    return w;
+}
+
+std::string
+encodeRunWindow(const RunWindow &window, const RunManifest &manifest,
+                const RunKey &key, std::uint64_t iterations,
+                const core::PhaseTimes &times,
+                const upmem::LaunchProfile *profile,
+                const analysis::ImbalanceObserver *imbalance,
+                const ServeSummary *serve)
+{
+    std::uint64_t delta[6];
+    for (std::size_t i = 0; i < 6; ++i)
+        delta[i] = telemetry::metrics().counterValue(kXferCounters[i]) -
+                   window.xferStart[i];
+    const XferCounts xfer{delta[0], delta[1], delta[2],
+                          delta[3], delta[4], delta[5]};
+
+    TimelineSummary timeline;
+    const TimelineSummary *timeline_ptr = nullptr;
+    const std::vector<telemetry::TraceEvent> events =
+        telemetry::tracer().eventsSince(window.traceStart);
+    if (!events.empty()) {
+        const telemetry::Timeline tl = telemetry::buildTimeline(events);
+        if (!tl.launches.empty()) {
+            const telemetry::TimelineStats stats =
+                telemetry::computeStats(tl);
+            telemetry::recordTimelineMetrics(stats,
+                                             telemetry::metrics());
+            timeline = summarizeTimeline(tl, stats);
+            timeline_ptr = &timeline;
+        }
+    }
+
+    ImbalanceSummary imbalance_summary;
+    const ImbalanceSummary *imbalance_ptr = nullptr;
+    if (imbalance) {
+        const analysis::RunImbalance run = imbalance->collectRun();
+        if (run.launches > 0) {
+            imbalance_summary = summarizeImbalance(run);
+            imbalance_ptr = &imbalance_summary;
+        }
+    }
+
+    const double wall = steadySeconds() - window.wallStart;
+    HostSummary host;
+    const HostSummary *host_ptr = nullptr;
+    if (telemetry::hostProfiler().enabled()) {
+        // Publishes host.* metrics and the "host_profile" trace
+        // event as a side effect, so --metrics-out/--trace-out
+        // carry the same observatory data as the record.
+        host = summarizeHost(
+            telemetry::publishHostProfile(times.total()));
+        host_ptr = &host;
+    }
+    return encodeRunRecord(manifest, key, iterations, times, profile,
+                           &xfer, wall, timeline_ptr, imbalance_ptr,
+                           host_ptr, serve);
 }
 
 bool

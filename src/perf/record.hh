@@ -277,6 +277,36 @@ ImbalanceSummary summarizeImbalance(const analysis::RunImbalance &run);
 /** Condense a host-profiler snapshot into the record-level summary. */
 HostSummary summarizeHost(const telemetry::HostProfile &profile);
 
+/** Where a measured region began: the process-wide counters and
+ * positions the region's record is taken relative to. */
+struct RunWindow
+{
+    std::uint64_t xferStart[6] = {}; ///< xfer.* counters
+    std::size_t traceStart = 0;      ///< tracer total-event position
+    double wallStart = 0.0;          ///< steady-clock seconds
+};
+
+/** Open a measured region: reset the host profiler and `imbalance`
+ * (when given), then snapshot the counters. */
+RunWindow beginRunWindow(analysis::ImbalanceObserver *imbalance);
+
+/**
+ * Encode the record of the region `window` opened, measured up to
+ * now. The per-run record assembly shared by the bench harness and
+ * the CLI: the xfer.* deltas, the timeline of the spans traced since
+ * (also exported as timeline.* metrics), `imbalance`'s run aggregate
+ * (when given and non-empty), the host profile (when the profiler is
+ * on; also published as host.* metrics and a trace event) and the
+ * wall-clock duration, around the given identity and model results.
+ */
+std::string encodeRunWindow(const RunWindow &window,
+                            const RunManifest &manifest,
+                            const RunKey &key, std::uint64_t iterations,
+                            const core::PhaseTimes &times,
+                            const upmem::LaunchProfile *profile,
+                            const analysis::ImbalanceObserver *imbalance,
+                            const ServeSummary *serve = nullptr);
+
 /** A loaded record file. */
 struct RecordSet
 {

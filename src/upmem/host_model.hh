@@ -21,7 +21,7 @@ class HostModel
 {
   public:
     /** @param cfg host CPU parameters */
-    explicit HostModel(const HostConfig &cfg) : cfg_(cfg) {}
+    explicit HostModel(HostConfig cfg) : cfg_(cfg) {}
 
     /**
      * Time for a parallel merge pass over `bytes` of partial results
@@ -54,7 +54,7 @@ class HostModel
     const HostConfig &config() const { return cfg_; }
 
   private:
-    const HostConfig &cfg_;
+    HostConfig cfg_;
 };
 
 } // namespace alphapim::upmem

@@ -39,7 +39,7 @@ class TransferModel
 {
   public:
     /** @param cfg transfer parameters */
-    explicit TransferModel(const TransferConfig &cfg) : cfg_(cfg) {}
+    explicit TransferModel(TransferConfig cfg) : cfg_(cfg) {}
 
     /**
      * Scatter/gather with a distinct buffer per DPU.
@@ -68,7 +68,7 @@ class TransferModel
   private:
     double rankBandwidth(TransferDirection dir) const;
 
-    const TransferConfig &cfg_;
+    TransferConfig cfg_;
 };
 
 } // namespace alphapim::upmem

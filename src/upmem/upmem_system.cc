@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
-#include "analysis/capture.hh"
-#include "analysis/checker.hh"
-#include "analysis/imbalance.hh"
 #include "common/logging.hh"
 #include "common/parallel.hh"
 #include "telemetry/host_prof.hh"
@@ -39,7 +37,7 @@ stallMetricName(StallReason reason)
 /** Fold one launch's aggregate profile into the metrics registry. */
 void
 recordLaunchMetrics(const LaunchProfile &launch,
-                    const std::vector<Cycles> &per_dpu_cycles)
+                    const std::vector<DpuProfile> &per_dpu)
 {
     auto &m = telemetry::metrics();
     m.addCounter("dpu.launches");
@@ -58,15 +56,69 @@ recordLaunchMetrics(const LaunchProfile &launch,
     }
     // Per-DPU cycle distribution: the load-imbalance signal. Idle
     // DPUs contribute zero samples, which is exactly the imbalance.
-    for (const Cycles c : per_dpu_cycles)
-        m.addSample("dpu.cycles_per_launch", static_cast<double>(c));
+    for (const DpuProfile &p : per_dpu)
+        m.addSample("dpu.cycles_per_launch",
+                    static_cast<double>(p.totalCycles));
     m.addSample("dpu.active_per_launch", launch.activeDpus);
+}
+
+/** Draw one launch's per-DPU kernel spans on the DPU tracks and
+ * advance the trace clock by its kernel time. */
+void
+traceLaunch(const SystemConfig &cfg,
+            const std::vector<DpuProfile> &per_dpu, Seconds kernel)
+{
+    auto &t = telemetry::tracer();
+    const auto num_dpus = static_cast<unsigned>(per_dpu.size());
+    const Seconds start = t.now() + cfg.kernelLaunchOverhead;
+    const unsigned shown = std::min(num_dpus, t.dpuTrackLimit());
+    for (unsigned d = 0; d < shown; ++d) {
+        const DpuProfile &p = per_dpu[d];
+        if (p.totalCycles == 0)
+            continue;
+        t.nameTrack(telemetry::dpuTrack(d), "dpu " + std::to_string(d));
+        // Stall composition and DMA traffic ride on the span so
+        // alphapim_explain can draw the per-DPU heatmap lane and
+        // roofline chart from the trace alone.
+        t.completeEvent(
+            telemetry::dpuTrack(d), "kernel", "dpu", start,
+            static_cast<double>(p.totalCycles) / cfg.dpu.clockHz,
+            {telemetry::arg("cycles", p.totalCycles),
+             telemetry::arg("dpu", static_cast<std::uint64_t>(d)),
+             telemetry::arg("rank",
+                            static_cast<std::uint64_t>(
+                                d / cfg.transfer.dpusPerRank)),
+             telemetry::arg("issued", p.issuedCycles),
+             telemetry::arg("stall_memory",
+                            p.stallCycles[static_cast<std::size_t>(
+                                StallReason::Memory)]),
+             telemetry::arg("stall_revolver",
+                            p.stallCycles[static_cast<std::size_t>(
+                                StallReason::Revolver)]),
+             telemetry::arg("stall_rf_hazard",
+                            p.stallCycles[static_cast<std::size_t>(
+                                StallReason::RfHazard)]),
+             telemetry::arg("stall_sync",
+                            p.stallCycles[static_cast<std::size_t>(
+                                StallReason::Sync)]),
+             telemetry::arg("instr", p.totalInstructions()),
+             telemetry::arg("mram_bytes",
+                            p.mramReadBytes + p.mramWriteBytes)});
+    }
+    if (shown < num_dpus) {
+        debugLog("telemetry",
+                 "trace shows %u of %u DPU tracks (raise the "
+                 "dpu-track limit to see more)",
+                 shown, num_dpus);
+    }
+    t.advance(kernel);
 }
 
 } // namespace
 
-UpmemSystem::UpmemSystem(SystemConfig cfg)
-    : cfg_(cfg), transfer_(cfg_.transfer), host_(cfg_.host)
+UpmemSystem::UpmemSystem(SystemConfig cfg, LaunchObservers observers)
+    : cfg_(cfg), transfer_(cfg_.transfer), host_(cfg_.host),
+      observers_(std::move(observers))
 {
     ALPHA_ASSERT(cfg_.numDpus > 0, "system needs at least one DPU");
     ALPHA_ASSERT(cfg_.dpu.tasklets > 0 &&
@@ -78,34 +130,27 @@ LaunchProfile
 UpmemSystem::launchKernel(
     unsigned num_dpus,
     const std::function<void(unsigned, std::vector<TaskletTrace> &)>
-        &generate) const
+        &generate,
+    const LaunchInfo &info) const
 {
     ALPHA_ASSERT(num_dpus > 0 && num_dpus <= cfg_.numDpus,
                  "launch requests more DPUs than allocated");
 
-    const bool tracing = telemetry::tracer().enabled();
-    const bool sampling = telemetry::metrics().enabled();
-    const bool checking = analysis::checker().enabled();
-    const bool capturing = analysis::capture().enabled();
-    // The model checker harvests traces without timing them; replay
-    // is the dominant cost of a launch, so skip it when asked to.
+    // Replay is the dominant cost of a launch; an observer that only
+    // harvests traces (the model checker's capture) turns it off.
     const bool replaying =
-        !capturing || !analysis::capture().skipReplay();
-    if (capturing)
-        analysis::capture().beginLaunch(num_dpus);
+        std::all_of(observers_.begin(), observers_.end(),
+                    [](const auto &o) { return o->replays(); });
+    for (const auto &o : observers_)
+        o->onLaunchBegin(info, num_dpus);
 
     const RevolverScheduler scheduler(cfg_.dpu);
-    LaunchProfile launch;
     // Each worker writes only its own slot; the profiles are folded
     // serially in DPU order afterwards so floating-point accumulation
     // (activeThreadCycles) is deterministic regardless of thread
     // count and scheduling -- run records are exact-compared by the
     // bench differ.
     std::vector<DpuProfile> per_dpu_profiles(num_dpus);
-    std::vector<Cycles> per_dpu_cycles;
-    if (tracing || sampling)
-        per_dpu_cycles.assign(num_dpus, 0);
-
     const bool host_prof = telemetry::hostProfiler().enabled();
 
     parallelFor(num_dpus, [&](std::size_t dpu) {
@@ -125,17 +170,12 @@ UpmemSystem::launchKernel(
             telemetry::hostProfiler().addTraceRecords(records);
             telemetry::hostProfiler().noteTaskletTraceBytes(bytes);
         }
-        if (checking) {
+        if (!observers_.empty()) {
             telemetry::HostPhaseTimer timer(
                 telemetry::HostPhase::Analysis);
-            analysis::checker().analyzeDpu(
-                static_cast<unsigned>(dpu), traces, cfg_.dpu);
-        }
-        if (capturing) {
-            telemetry::HostPhaseTimer timer(
-                telemetry::HostPhase::Analysis);
-            analysis::capture().captureDpu(static_cast<unsigned>(dpu),
-                                           traces);
+            for (const auto &o : observers_)
+                o->onDpuTraces(static_cast<unsigned>(dpu), traces,
+                               cfg_.dpu);
         }
         if (replaying) {
             telemetry::HostPhaseTimer timer(
@@ -146,9 +186,8 @@ UpmemSystem::launchKernel(
             telemetry::hostProfiler().addReplaySlots(
                 per_dpu_profiles[dpu].totalCycles);
         }
-        if (!per_dpu_cycles.empty())
-            per_dpu_cycles[dpu] = per_dpu_profiles[dpu].totalCycles;
     });
+    LaunchProfile launch;
     {
         telemetry::HostPhaseTimer timer(
             telemetry::HostPhase::ProfileFold);
@@ -158,64 +197,12 @@ UpmemSystem::launchKernel(
 
     telemetry::HostPhaseTimer analysis_timer(
         telemetry::HostPhase::Analysis);
-    if (analysis::imbalance().enabled())
-        analysis::imbalance().recordLaunch(per_dpu_profiles, cfg_.dpu);
-    if (sampling)
-        recordLaunchMetrics(launch, per_dpu_cycles);
-    if (tracing) {
-        auto &t = telemetry::tracer();
-        const Seconds start = t.now() + cfg_.kernelLaunchOverhead;
-        const unsigned shown =
-            std::min(num_dpus, t.dpuTrackLimit());
-        for (unsigned d = 0; d < shown; ++d) {
-            if (per_dpu_cycles[d] == 0)
-                continue;
-            t.nameTrack(telemetry::dpuTrack(d),
-                        "dpu " + std::to_string(d));
-            // Stall composition and DMA traffic ride on the span so
-            // alphapim_explain can draw the per-DPU heatmap lane and
-            // roofline chart from the trace alone.
-            const DpuProfile &p = per_dpu_profiles[d];
-            t.completeEvent(
-                telemetry::dpuTrack(d), "kernel", "dpu", start,
-                static_cast<double>(per_dpu_cycles[d]) /
-                    cfg_.dpu.clockHz,
-                {telemetry::arg("cycles", per_dpu_cycles[d]),
-                 telemetry::arg("dpu",
-                                static_cast<std::uint64_t>(d)),
-                 telemetry::arg(
-                     "rank",
-                     static_cast<std::uint64_t>(
-                         d / cfg_.transfer.dpusPerRank)),
-                 telemetry::arg("issued", p.issuedCycles),
-                 telemetry::arg(
-                     "stall_memory",
-                     p.stallCycles[static_cast<std::size_t>(
-                         StallReason::Memory)]),
-                 telemetry::arg(
-                     "stall_revolver",
-                     p.stallCycles[static_cast<std::size_t>(
-                         StallReason::Revolver)]),
-                 telemetry::arg(
-                     "stall_rf_hazard",
-                     p.stallCycles[static_cast<std::size_t>(
-                         StallReason::RfHazard)]),
-                 telemetry::arg(
-                     "stall_sync",
-                     p.stallCycles[static_cast<std::size_t>(
-                         StallReason::Sync)]),
-                 telemetry::arg("instr", p.totalInstructions()),
-                 telemetry::arg("mram_bytes",
-                                p.mramReadBytes + p.mramWriteBytes)});
-        }
-        if (shown < num_dpus) {
-            debugLog("telemetry",
-                     "trace shows %u of %u DPU tracks (raise the "
-                     "dpu-track limit to see more)",
-                     shown, num_dpus);
-        }
-        t.advance(kernelSeconds(launch));
-    }
+    for (const auto &o : observers_)
+        o->onLaunchEnd(info, per_dpu_profiles, cfg_.dpu);
+    if (telemetry::metrics().enabled())
+        recordLaunchMetrics(launch, per_dpu_profiles);
+    if (telemetry::tracer().enabled())
+        traceLaunch(cfg_, per_dpu_profiles, kernelSeconds(launch));
     return launch;
 }
 

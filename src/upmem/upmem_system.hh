@@ -4,6 +4,8 @@
  * exposes kernel launches (trace generation + revolver replay across
  * all DPUs, host-parallelized), the transfer model, and the host
  * merge model. Kernel implementations in src/core build on this.
+ * Analyses attach as LaunchObservers (launch_observer.hh) at
+ * construction; a system built without any runs no analysis.
  */
 
 #ifndef ALPHA_PIM_UPMEM_UPMEM_SYSTEM_HH
@@ -15,6 +17,7 @@
 #include "common/types.hh"
 #include "upmem/dpu_config.hh"
 #include "upmem/host_model.hh"
+#include "upmem/launch_observer.hh"
 #include "upmem/profile.hh"
 #include "upmem/scheduler.hh"
 #include "upmem/transfer_model.hh"
@@ -24,13 +27,15 @@ namespace alphapim::upmem
 
 /**
  * The simulated PIM machine. One instance per experiment; cheap to
- * construct. Thread-safe for concurrent const use.
+ * construct and copy (copies share the observers). Thread-safe for
+ * concurrent const use when its observers are.
  */
 class UpmemSystem
 {
   public:
-    /** Build a system with the given configuration. */
-    explicit UpmemSystem(SystemConfig cfg);
+    /** Build a system with the given configuration, notifying
+     * `observers` of every launch. */
+    explicit UpmemSystem(SystemConfig cfg, LaunchObservers observers = {});
 
     /** Full configuration. */
     const SystemConfig &config() const { return cfg_; }
@@ -48,7 +53,8 @@ class UpmemSystem
      * Launch a kernel: for each DPU, `generate(dpu, traces)` runs the
      * kernel functionally and records per-tasklet traces (the vector
      * arrives pre-sized to config().dpu.tasklets and cleared); the
-     * traces are then replayed through the revolver scheduler.
+     * traces are then replayed through the revolver scheduler, and
+     * the observers are notified with `info`.
      *
      * DPUs are simulated concurrently on host threads, so `generate`
      * must only touch per-DPU state.
@@ -59,8 +65,8 @@ class UpmemSystem
     LaunchProfile launchKernel(
         unsigned num_dpus,
         const std::function<void(unsigned,
-                                 std::vector<TaskletTrace> &)> &generate)
-        const;
+                                 std::vector<TaskletTrace> &)> &generate,
+        const LaunchInfo &info = {}) const;
 
     /** Kernel wall-clock time of a launch, including launch overhead. */
     Seconds
@@ -74,6 +80,7 @@ class UpmemSystem
     SystemConfig cfg_;
     TransferModel transfer_;
     HostModel host_;
+    LaunchObservers observers_;
 };
 
 } // namespace alphapim::upmem

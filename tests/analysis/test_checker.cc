@@ -53,15 +53,13 @@ onlyKind(const AnalysisReport &r, FindingKind k)
 class CheckerTest : public ::testing::Test
 {
   protected:
-    CheckerTest() { c.enable(CheckOptions{}); }
-
     TraceChecker c;
     DpuConfig cfg;
 };
 
 TEST(Checker, DisabledIsNoOp)
 {
-    TraceChecker c;
+    TraceChecker c(CheckOptions{false, false, false, false});
     DpuConfig cfg;
     std::vector<TaskletTrace> traces(2);
     traces[0].dmaRead(12); // would be illegal
@@ -248,10 +246,9 @@ TEST_F(CheckerTest, MisalignedDmaAddressIsDetected)
 
 TEST(Checker, FamilySelectionIsHonoured)
 {
-    TraceChecker c;
     CheckOptions sel;
     ASSERT_TRUE(CheckOptions::parseList("race,lock", sel));
-    c.enable(sel);
+    TraceChecker c(sel);
     DpuConfig cfg;
     std::vector<TaskletTrace> traces(1);
     traces[0].dmaRead(12); // illegal, but dma checks are off
@@ -285,7 +282,6 @@ TEST(Checker, MetricsCountersAreRecorded)
     m.setEnabled(true);
     {
         TraceChecker c;
-        c.enable(CheckOptions{});
         DpuConfig cfg;
         std::vector<TaskletTrace> traces(1);
         traces[0].mutexUnlock(9);
@@ -369,7 +365,6 @@ TEST_F(CheckerTest, FindingsAreSortedDeterministically)
     // Byte-stable report: a second checker fed the same defects in a
     // different DPU order renders the identical JSON document.
     TraceChecker c2;
-    c2.enable(CheckOptions{});
     for (const unsigned dpu : {1u, 3u, 5u}) {
         std::vector<TaskletTrace> traces(2);
         traces[0].wramAccess(OpClass::StoreWram, 1, 0x4000, 4);

@@ -1,7 +1,7 @@
 /**
  * @file
- * pim-verify end-to-end check: with the global checker enabled, the
- * kernels backing all four graph applications -- across every MxV
+ * pim-verify end-to-end check: with a checker attached to the system,
+ * the kernels backing all four graph applications -- across every MxV
  * strategy, so each SpMV/SpMSpV variant gets exercised -- must
  * produce traces with zero findings. This is the regression gate
  * the CI pim-verify job runs against the bundled datasets; here it
@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 
 #include "analysis/checker.hh"
@@ -25,12 +26,12 @@ namespace
 {
 
 upmem::UpmemSystem
-testSystem(unsigned dpus = 16)
+testSystem(std::shared_ptr<analysis::TraceChecker> checker)
 {
     upmem::SystemConfig cfg;
-    cfg.numDpus = dpus;
+    cfg.numDpus = 16;
     cfg.dpu.tasklets = 8;
-    return upmem::UpmemSystem(cfg);
+    return upmem::UpmemSystem(cfg, {std::move(checker)});
 }
 
 sparse::CooMatrix<float>
@@ -41,27 +42,19 @@ socialGraph(std::uint64_t seed)
     return sparse::edgeListToSymmetricCoo(list);
 }
 
-/** Global-checker guard: enable on entry, disable + clear on exit. */
+/** A fresh all-families checker and a system it observes. */
 class CleanApps : public ::testing::Test
 {
   protected:
-    CleanApps()
-    {
-        analysis::checker().clear();
-        analysis::checker().enable(analysis::CheckOptions{});
-    }
-
-    ~CleanApps() override
-    {
-        analysis::checker().disable();
-        analysis::checker().clear();
-    }
+    const std::shared_ptr<analysis::TraceChecker> checker =
+        std::make_shared<analysis::TraceChecker>();
+    const upmem::UpmemSystem sys = testSystem(checker);
 
     /** Assert the run so far produced zero findings; print any. */
-    static void
-    expectClean(const char *what)
+    void
+    expectClean(const char *what) const
     {
-        const auto rep = analysis::checker().report();
+        const auto rep = checker->report();
         std::ostringstream os;
         for (const auto &f : rep.findings)
             os << "\n  " << analysis::describeFinding(f);
@@ -82,7 +75,6 @@ const core::MxvStrategy kStrategies[] = {
 
 TEST_F(CleanApps, BfsTracesHaveNoFindings)
 {
-    const auto sys = testSystem();
     const auto adj = socialGraph(1);
     const NodeId source = sparse::largestComponentVertex(adj);
     for (const auto strategy : kStrategies) {
@@ -95,7 +87,6 @@ TEST_F(CleanApps, BfsTracesHaveNoFindings)
 
 TEST_F(CleanApps, SsspTracesHaveNoFindings)
 {
-    const auto sys = testSystem();
     Rng rng(7);
     const auto adj = sparse::assignSymmetricWeights(
         socialGraph(2), 1.0f, 64.0f, rng);
@@ -110,7 +101,6 @@ TEST_F(CleanApps, SsspTracesHaveNoFindings)
 
 TEST_F(CleanApps, PprTracesHaveNoFindings)
 {
-    const auto sys = testSystem();
     const auto adj = socialGraph(3);
     const NodeId source = sparse::largestComponentVertex(adj);
     for (const auto strategy : kStrategies) {
@@ -124,7 +114,6 @@ TEST_F(CleanApps, PprTracesHaveNoFindings)
 
 TEST_F(CleanApps, ConnectedComponentsTracesHaveNoFindings)
 {
-    const auto sys = testSystem();
     const auto adj = socialGraph(4);
     for (const auto strategy : kStrategies) {
         AppConfig cfg;

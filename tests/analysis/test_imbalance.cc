@@ -4,7 +4,7 @@
  * (Gini, CoV, percentile tail) on known distributions, straggler
  * identification and its stall / partition-share attribution, the
  * roofline classification on both sides of the ridge, and the
- * process-wide observer's launch-context join and run aggregation.
+ * observer's LaunchInfo join and run aggregation.
  */
 
 #include <gtest/gtest.h>
@@ -199,36 +199,32 @@ TEST(Roofline, ZeroByteLaunchReportsComputeBoundAtZeroIntensity)
                      li.roofline.pipelineCeilingOpsPerSec);
 }
 
-TEST(ImbalanceObserver, DisabledObserverRecordsNothing)
+TEST(ImbalanceObserver, LaunchInfoJoinsItsOwnLaunchOnly)
 {
     ImbalanceObserver obs;
-    obs.recordLaunch({dpu(1000, 800, 100, 0, 800, 100)},
-                     upmem::DpuConfig{});
-    EXPECT_TRUE(obs.launches().empty());
-    EXPECT_EQ(obs.collectRun().launches, 0u);
-}
-
-TEST(ImbalanceObserver, LaunchContextJoinsOnceThenClears)
-{
-    ImbalanceObserver obs;
-    obs.setEnabled(true);
-    obs.beginRun();
-    obs.setLaunchContext(
-        "CSC-2D", {share(10, 100, 800), share(10, 300, 2400)});
+    unsigned evaluations = 0;
+    const upmem::LaunchInfo info{"CSC-2D", [&] {
+                                     ++evaluations;
+                                     return std::vector<
+                                         sparse::PartitionShare>{
+                                         share(10, 100, 800),
+                                         share(10, 300, 2400)};
+                                 }};
     const std::vector<upmem::DpuProfile> profiles = {
         dpu(1000, 800, 100, 0, 800, 100),
         dpu(3000, 900, 2000, 0, 900, 300)};
-    obs.recordLaunch(profiles, upmem::DpuConfig{});
-    obs.recordLaunch(profiles, upmem::DpuConfig{});
+    obs.onLaunchEnd(info, profiles, upmem::DpuConfig{});
+    obs.onLaunchEnd({}, profiles, upmem::DpuConfig{});
 
     const auto launches = obs.launches();
     ASSERT_EQ(launches.size(), 2u);
-    // First launch consumed the context...
+    EXPECT_EQ(evaluations, 1u);
+    // The first launch joined its own shares...
     EXPECT_EQ(launches[0].kernel, "CSC-2D");
     EXPECT_EQ(launches[0].nnz.count, 2u);
     EXPECT_NEAR(launches[0].stragglerNnzOverMean, 300.0 / 200.0,
                 1e-12);
-    // ...the second had none pending.
+    // ...the anonymous second one has nothing to join.
     EXPECT_TRUE(launches[1].kernel.empty());
     EXPECT_EQ(launches[1].nnz.count, 0u);
 }
@@ -236,17 +232,22 @@ TEST(ImbalanceObserver, LaunchContextJoinsOnceThenClears)
 TEST(ImbalanceObserver, CollectRunAggregatesStragglerAndBound)
 {
     ImbalanceObserver obs;
-    obs.setEnabled(true);
     obs.beginRun();
     // Launch 1: leveled. Launch 2: DPU 1 straggles 2x.
-    obs.recordLaunch({dpu(1000, 800, 100, 0, 800, 500),
-                      dpu(1000, 800, 100, 0, 800, 500)},
-                     upmem::DpuConfig{});
-    obs.setLaunchContext("CSC-2D",
-                         {share(10, 100, 800), share(10, 300, 2400)});
-    obs.recordLaunch({dpu(1000, 800, 100, 0, 800, 500),
-                      dpu(3000, 900, 2000, 0, 900, 1500)},
-                     upmem::DpuConfig{});
+    obs.onLaunchEnd({},
+                    {dpu(1000, 800, 100, 0, 800, 500),
+                     dpu(1000, 800, 100, 0, 800, 500)},
+                    upmem::DpuConfig{});
+    const upmem::LaunchInfo info{"CSC-2D", [] {
+                                     return std::vector<
+                                         sparse::PartitionShare>{
+                                         share(10, 100, 800),
+                                         share(10, 300, 2400)};
+                                 }};
+    obs.onLaunchEnd(info,
+                    {dpu(1000, 800, 100, 0, 800, 500),
+                     dpu(3000, 900, 2000, 0, 900, 1500)},
+                    upmem::DpuConfig{});
 
     const RunImbalance run = obs.collectRun();
     EXPECT_EQ(run.launches, 2u);
@@ -269,8 +270,7 @@ TEST(ImbalanceObserver, CollectRunAggregatesStragglerAndBound)
 
 TEST(ImbalanceObserver, StallNamesMatchUpmemSpellings)
 {
-    // The analysis-side stall table must mirror stallReasonName()
-    // (the libraries cannot link to each other to share it).
+    // Straggler attribution reports the upmem stall spellings.
     for (unsigned r = 0;
          r < static_cast<unsigned>(upmem::StallReason::NumReasons);
          ++r) {

@@ -123,6 +123,18 @@ TEST(BenchCommon, PhaseCellsNormalize)
 
 TEST(BenchCommon, MakeSystemHonoursDpuCount)
 {
-    const auto sys = makeSystem(128);
+    const auto sys = makeSystem(BenchOptions{}, 128);
     EXPECT_EQ(sys.numDpus(), 128u);
+}
+
+TEST(BenchCommon, CheckFlagBuildsTheSystemsChecker)
+{
+    EXPECT_TRUE(parse({}).observers().empty());
+    const auto opt = parse({"--check=dma", "--check-out", "r.json"});
+    ASSERT_TRUE(opt.check.checker);
+    EXPECT_TRUE(opt.check.checker->options().dma);
+    EXPECT_FALSE(opt.check.checker->options().race);
+    EXPECT_EQ(opt.check.out, "r.json");
+    ASSERT_EQ(opt.observers().size(), 1u);
+    EXPECT_EQ(opt.observers()[0], opt.check.checker);
 }

@@ -14,7 +14,6 @@
  *   alphapim --algo ppr  --dataset face --strategy spmv --csv it.csv
  */
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -39,7 +38,6 @@
 #include "sparse/mmio.hh"
 #include "telemetry/host_prof.hh"
 #include "telemetry/telemetry.hh"
-#include "telemetry/timeline.hh"
 #include "upmem/report.hh"
 
 using namespace alphapim;
@@ -58,9 +56,6 @@ struct CliOptions
     std::string jsonOut;
     std::string logLevel;
     std::string strategy = "adaptive";
-    std::string checkList;
-    std::string checkOut;
-    std::string checkInject;
     double scale = 0.25;
     double threshold = -1.0;
     unsigned dpus = 2048;
@@ -71,8 +66,11 @@ struct CliOptions
     bool profile = false;
     bool compareCpu = false;
     bool validate = false;
-    bool check = false;
     bool hostProf = true;
+    analysis::CheckFlags check;
+
+    /** Set when records or metrics are asked for. */
+    std::shared_ptr<analysis::ImbalanceObserver> imbalance;
 };
 
 [[noreturn]] void
@@ -167,29 +165,7 @@ parseCli(int argc, char **argv)
             opt.seed = std::strtoull(next(), nullptr, 10);
         else if (arg == "--source")
             opt.source = std::atol(next());
-        else if (arg == "--check") {
-            opt.check = true;
-            if (args.hasInlineValue())
-                opt.checkList = args.inlineValue();
-        } else if (arg == "--check-out") {
-            opt.check = true;
-            opt.checkOut = next();
-        } else if (arg == "--check-inject") {
-            opt.check = true;
-            opt.checkInject = next();
-            bool known = false;
-            for (unsigned k = 0; k < analysis::numFindingKinds; ++k)
-                known = known ||
-                        opt.checkInject ==
-                            analysis::findingKindName(
-                                static_cast<analysis::FindingKind>(k));
-            if (!known) {
-                std::fprintf(stderr,
-                             "--check-inject: unknown kind '%s'\n",
-                             opt.checkInject.c_str());
-                usage();
-            }
-        } else if (arg == "--host-prof") {
+        else if (arg == "--host-prof") {
             if (!args.hasInlineValue() ||
                 args.inlineValue() == "on")
                 opt.hostProf = true;
@@ -210,7 +186,7 @@ parseCli(int argc, char **argv)
             opt.compareCpu = true;
         else if (arg == "--validate")
             opt.validate = true;
-        else
+        else if (!opt.check.parse(args, usage))
             usage();
     }
     if (opt.dataset.empty() && opt.mtx.empty())
@@ -236,7 +212,7 @@ parseCli(int argc, char **argv)
         telemetry::metrics().setEnabled(true);
         // Imbalance analytics ride on the same outputs: per-launch
         // skew metrics and the run record's "imbalance" block.
-        analysis::imbalance().setEnabled(true);
+        opt.imbalance = std::make_shared<analysis::ImbalanceObserver>();
     }
     if (opt.hostProf &&
         (!opt.traceOut.empty() || !opt.metricsOut.empty() ||
@@ -247,14 +223,9 @@ parseCli(int argc, char **argv)
         telemetry::hostProfiler().reset();
         telemetry::hostProfiler().setEnabled(true);
     }
-    if (opt.check) {
-        analysis::CheckOptions sel;
-        std::string error;
-        if (!analysis::CheckOptions::parseList(opt.checkList, sel,
-                                               &error))
-            fatal("--check: %s", error.c_str());
-        analysis::checker().enable(sel);
-    }
+    std::string error;
+    if (!opt.check.makeChecker(&error))
+        fatal("--check: %s", error.c_str());
     return opt;
 }
 
@@ -340,7 +311,12 @@ main(int argc, char **argv)
     upmem::SystemConfig sys_cfg;
     sys_cfg.numDpus = opt.dpus;
     sys_cfg.dpu.tasklets = opt.tasklets;
-    const upmem::UpmemSystem sys(sys_cfg);
+    upmem::LaunchObservers observers;
+    if (opt.check.checker)
+        observers.push_back(opt.check.checker);
+    if (opt.imbalance)
+        observers.push_back(opt.imbalance);
+    const upmem::UpmemSystem sys(sys_cfg, observers);
 
     apps::AppConfig cfg;
     cfg.strategy = parseStrategy(opt.strategy);
@@ -348,17 +324,9 @@ main(int argc, char **argv)
     cfg.pprIterations = opt.pprIterations;
 
     // ---- run ----
-    constexpr const char *xfer_counters[6] = {
-        "xfer.scatters",   "xfer.scatter_bytes",
-        "xfer.gathers",    "xfer.gather_bytes",
-        "xfer.broadcasts", "xfer.broadcast_bytes",
-    };
-    std::uint64_t xfer_start[6] = {};
-    for (std::size_t i = 0; i < 6; ++i)
-        xfer_start[i] =
-            telemetry::metrics().counterValue(xfer_counters[i]);
-    analysis::imbalance().beginRun();
-    const auto wall_start = std::chrono::steady_clock::now();
+    perf::RunWindow window;
+    if (!opt.jsonOut.empty())
+        window = perf::beginRunWindow(opt.imbalance.get());
     apps::AppResult result;
     if (opt.algo == "bfs")
         result = apps::runBfs(sys, matrix, source, cfg);
@@ -370,10 +338,6 @@ main(int argc, char **argv)
         result = apps::runConnectedComponents(sys, matrix, cfg);
     else
         fatal("unknown algorithm '%s'", opt.algo.c_str());
-    const double wall_seconds =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - wall_start)
-            .count();
 
     if (!opt.jsonOut.empty()) {
         perf::RunManifest manifest = perf::currentManifest();
@@ -396,55 +360,12 @@ main(int argc, char **argv)
         key.dpus = opt.dpus;
         key.seed = opt.seed;
 
-        perf::XferCounts xfer;
-        std::uint64_t xfer_now[6];
-        for (std::size_t i = 0; i < 6; ++i)
-            xfer_now[i] =
-                telemetry::metrics().counterValue(xfer_counters[i]);
-        xfer.scatters = xfer_now[0] - xfer_start[0];
-        xfer.scatterBytes = xfer_now[1] - xfer_start[1];
-        xfer.gathers = xfer_now[2] - xfer_start[2];
-        xfer.gatherBytes = xfer_now[3] - xfer_start[3];
-        xfer.broadcasts = xfer_now[4] - xfer_start[4];
-        xfer.broadcastBytes = xfer_now[5] - xfer_start[5];
-
-        perf::TimelineSummary timeline;
-        const perf::TimelineSummary *timeline_ptr = nullptr;
-        const telemetry::Timeline tl =
-            telemetry::buildTimeline(telemetry::tracer().events());
-        if (!tl.launches.empty()) {
-            const telemetry::TimelineStats tl_stats =
-                telemetry::computeStats(tl);
-            telemetry::recordTimelineMetrics(tl_stats,
-                                             telemetry::metrics());
-            timeline = perf::summarizeTimeline(tl, tl_stats);
-            timeline_ptr = &timeline;
-        }
-
-        perf::ImbalanceSummary imbalance;
-        const perf::ImbalanceSummary *imbalance_ptr = nullptr;
-        const analysis::RunImbalance run_imbalance =
-            analysis::imbalance().collectRun();
-        if (run_imbalance.launches > 0) {
-            imbalance = perf::summarizeImbalance(run_imbalance);
-            imbalance_ptr = &imbalance;
-        }
-
-        perf::HostSummary host;
-        const perf::HostSummary *host_ptr = nullptr;
-        if (telemetry::hostProfiler().enabled()) {
-            host = perf::summarizeHost(telemetry::publishHostProfile(
-                result.total.total()));
-            host_ptr = &host;
-        }
-
         telemetry::appendJsonlRecord(
             opt.jsonOut,
-            perf::encodeRunRecord(
-                manifest, key, result.iterations.size(),
-                result.total, &result.profile, &xfer,
-                wall_seconds, timeline_ptr, imbalance_ptr,
-                host_ptr));
+            perf::encodeRunWindow(window, manifest, key,
+                                  result.iterations.size(),
+                                  result.total, &result.profile,
+                                  opt.imbalance.get()));
     }
 
     std::printf("\n%s from vertex %u: %zu iterations (%s), "
@@ -547,25 +468,9 @@ main(int argc, char **argv)
     if (!opt.metricsOut.empty())
         telemetry::writeMetricsFile(opt.metricsOut);
 
-    if (opt.check) {
-        if (!opt.checkInject.empty()) {
-            for (unsigned k = 0; k < analysis::numFindingKinds; ++k) {
-                const auto kind =
-                    static_cast<analysis::FindingKind>(k);
-                if (opt.checkInject ==
-                    analysis::findingKindName(kind)) {
-                    analysis::Finding f;
-                    f.kind = kind;
-                    f.detail = "synthetic finding injected by "
-                               "--check-inject";
-                    analysis::checker().injectFinding(std::move(f));
-                }
-            }
-        }
-        const int status =
-            analysis::finalizeCheckReport(opt.checkOut);
-        if (status != 0)
-            return status;
-    }
+    // A --check report's exit status takes precedence.
+    const int status = opt.check.finish();
+    if (status != 0)
+        return status;
     return validate_ok ? 0 : 1;
 }
