@@ -15,13 +15,21 @@
 namespace alphapim::upmem
 {
 
+/**
+ * Most tasklets one DPU replay can hold: the scheduler packs a
+ * tasklet's index into the low 5 bits of its dispatch key.
+ * DpuConfig::maxTasklets must not exceed it.
+ */
+inline constexpr unsigned taskletCeiling = 32;
+
 /** Microarchitectural parameters of one DPU. */
 struct DpuConfig
 {
     /** DPU core clock in Hz (UPMEM v1.x runs at 350 MHz). */
     double clockHz = 350e6;
 
-    /** Hardware thread (tasklet) slots per DPU. */
+    /** Hardware thread (tasklet) slots per DPU; at most
+     * taskletCeiling. */
     unsigned maxTasklets = 24;
 
     /**

@@ -1,6 +1,7 @@
 #include "scheduler.hh"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <unordered_map>
@@ -23,6 +24,18 @@ enum class WaitKind : std::uint8_t
 };
 
 constexpr Cycles farFuture = std::numeric_limits<Cycles>::max() / 4;
+
+/** Fewest rounds the closed-form fast path retires at once. */
+constexpr std::uint32_t fastPathMinRounds = 8;
+
+/** A dispatch key is `ready << keyIndexBits | tasklet index`; 2^59
+ * cycles (52 years at 350 MHz) leave the ready field ample room. */
+constexpr unsigned keyIndexBits = 5;
+static_assert(taskletCeiling <= 1u << keyIndexBits,
+              "tasklet index must fit the dispatch key's low bits");
+
+/** Key of a tasklet the pick must skip: finished or barrier-parked. */
+constexpr std::uint64_t noKey = ~std::uint64_t{0};
 
 /** Mutable replay state of one tasklet. */
 struct TaskletState
@@ -53,10 +66,22 @@ RevolverScheduler::run(const std::vector<TaskletTrace> &traces) const
     const auto num = static_cast<unsigned>(traces.size());
     ALPHA_ASSERT(num > 0 && num <= cfg_.maxTasklets,
                  "tasklet count outside the DPU's hardware limit");
+    ALPHA_ASSERT(num <= taskletCeiling,
+                 "tasklet count above the scheduler's tasklet ceiling");
 
     DpuProfile profile;
 
     std::vector<TaskletState> state(num);
+    // The pick takes the smallest dispatch key: the earliest-ready
+    // tasklet, ties going to the lowest index. Every change to a
+    // tasklet's ready time, wait state or finished flag refreshes it.
+    std::array<std::uint64_t, taskletCeiling> keys{};
+    auto refresh_key = [&](unsigned t) {
+        const auto &ts = state[t];
+        keys[t] = ts.finished || ts.wait == WaitKind::Barrier
+            ? noKey
+            : ts.ready << keyIndexBits | t;
+    };
     unsigned live = 0;
     for (unsigned t = 0; t < num; ++t) {
         state[t].sigState = 0x9e3779b9u * (t + 1);
@@ -69,6 +94,7 @@ RevolverScheduler::run(const std::vector<TaskletTrace> &traces) const
             state[t].remaining =
                 first.kind == RecordKind::Ops ? first.count : 1;
         }
+        refresh_key(t);
     }
     if (live == 0)
         return profile;
@@ -152,8 +178,27 @@ RevolverScheduler::run(const std::vector<TaskletTrace> &traces) const
     // deterministic round-robin; whole rounds are retired in closed
     // form. Timing is exact (including the revolver-idle pattern);
     // only register-bank hazards are applied in expectation.
+
+    // Whether tasklet t on its own keeps the fast path shut: it spins
+    // on a mutex, or it is runnable outside an Ops run with at least
+    // fastPathMinRounds ops left. This depends on t's state alone,
+    // which only its own dispatch changes (a parked tasklet never
+    // blocks, so barrier releases cannot touch a blocker).
+    auto blocks = [&](unsigned t) {
+        const auto &ts = state[t];
+        if (ts.wait == WaitKind::Mutex)
+            return true;
+        return !ts.finished && ts.wait == WaitKind::None &&
+               (traces[t].records()[ts.rec].kind != RecordKind::Ops ||
+                ts.remaining < fastPathMinRounds);
+    };
+    // Sticky gate: the tasklet that last shut the fast path, or num.
+    // While it still blocks, the scan below cannot succeed.
+    unsigned blocker = num;
+
     auto try_fast_path = [&]() -> bool {
-        unsigned runnable[32];
+        blocker = num;
+        unsigned runnable[taskletCeiling];
         unsigned k = 0;
         std::uint32_t min_remaining = ~0u;
         Cycles min_ready = farFuture;
@@ -163,22 +208,22 @@ RevolverScheduler::run(const std::vector<TaskletTrace> &traces) const
             const auto &ts = state[t];
             if (ts.finished || ts.wait == WaitKind::Barrier)
                 continue;
-            if (ts.wait == WaitKind::Mutex)
-                return false;
             if (ts.wait == WaitKind::Dma) {
                 dma_wake = std::min(dma_wake, ts.ready);
                 continue;
             }
-            const TraceRecord &r = traces[t].records()[ts.rec];
-            if (r.kind != RecordKind::Ops)
+            if (blocks(t)) {
+                blocker = t;
                 return false;
+            }
+            const TraceRecord &r = traces[t].records()[ts.rec];
             runnable[k++] = t;
             min_remaining = std::min(min_remaining, ts.remaining);
             min_ready = std::min(min_ready, ts.ready);
             if (isAluClass(r.cls))
                 ++alu_count;
         }
-        if (k == 0 || min_remaining < 8)
+        if (k == 0)
             return false;
 
         const Cycles start = any_dispatch
@@ -194,7 +239,7 @@ RevolverScheduler::run(const std::vector<TaskletTrace> &traces) const
             const std::uint64_t fit = (dma_wake - start) / round;
             rounds = std::min<std::uint64_t>(rounds, fit);
         }
-        if (rounds < 8)
+        if (rounds < fastPathMinRounds)
             return false;
 
         // Leading idle gap before the window is revolver-bound.
@@ -239,6 +284,7 @@ RevolverScheduler::run(const std::vector<TaskletTrace> &traces) const
             ts.ready = own_last + cfg_.revolverGap;
             if (ts.remaining == 0)
                 advance_record(ts, runnable[j]);
+            refresh_key(runnable[j]);
         }
         last_dispatch = start + span - 1;
         any_dispatch = true;
@@ -247,26 +293,20 @@ RevolverScheduler::run(const std::vector<TaskletTrace> &traces) const
     };
 
     for (;;) {
-        if (try_fast_path())
+        if (!(blocker < num && blocks(blocker)) && try_fast_path())
             continue;
 
         // Pick the earliest-ready unfinished, unparked tasklet.
-        unsigned chosen = num;
-        Cycles best_ready = farFuture;
-        for (unsigned t = 0; t < num; ++t) {
-            const auto &ts = state[t];
-            if (ts.finished || ts.wait == WaitKind::Barrier)
-                continue;
-            if (ts.ready < best_ready) {
-                best_ready = ts.ready;
-                chosen = t;
-            }
-        }
-        if (chosen == num) {
+        std::uint64_t best = noKey;
+        for (unsigned t = 0; t < num; ++t)
+            best = std::min(best, keys[t]);
+        if (best == noKey) {
             ALPHA_ASSERT(live == 0,
                          "deadlock: live tasklets but none runnable");
             break;
         }
+        const auto chosen =
+            static_cast<unsigned>(best & ((1u << keyIndexBits) - 1));
 
         TaskletState &ts = state[chosen];
         Cycles dispatch_at = ts.ready;
@@ -397,6 +437,7 @@ RevolverScheduler::run(const std::vector<TaskletTrace> &traces) const
                         dispatch_at + 1 - ws.ready;
                     ws.ready = dispatch_at + cfg_.revolverGap;
                     advance_record(ws, w);
+                    refresh_key(w);
                 }
                 b.waiters.clear();
                 b.arrived = 0;
@@ -411,6 +452,7 @@ RevolverScheduler::run(const std::vector<TaskletTrace> &traces) const
             break;
           }
         }
+        refresh_key(chosen);
 
         if (live == 0)
             break;

@@ -40,7 +40,7 @@ namespace alphapim::upmem
 class RevolverScheduler
 {
   public:
-    /** @param cfg DPU microarchitecture parameters */
+    /** @param cfg DPU microarchitecture parameters (copied) */
     explicit RevolverScheduler(const DpuConfig &cfg) : cfg_(cfg) {}
 
     /**
@@ -53,7 +53,7 @@ class RevolverScheduler
     DpuProfile run(const std::vector<TaskletTrace> &traces) const;
 
   private:
-    const DpuConfig &cfg_;
+    DpuConfig cfg_;
 };
 
 } // namespace alphapim::upmem

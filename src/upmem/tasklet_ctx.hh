@@ -192,6 +192,8 @@ class TaskletCtx
         }
     }
 
+    // A stack-scoped facade: a TaskletCtx must not outlive the
+    // configuration or the trace it was built over.
     const DpuConfig &cfg_;
     TaskletTrace &trace_;
 };

@@ -124,6 +124,8 @@ UpmemSystem::UpmemSystem(SystemConfig cfg, LaunchObservers observers)
     ALPHA_ASSERT(cfg_.dpu.tasklets > 0 &&
                      cfg_.dpu.tasklets <= cfg_.dpu.maxTasklets,
                  "tasklet count outside hardware limits");
+    ALPHA_ASSERT(cfg_.dpu.maxTasklets <= taskletCeiling,
+                 "maxTasklets above the scheduler's tasklet ceiling");
 }
 
 LaunchProfile

@@ -246,6 +246,28 @@ TEST(Scheduler, InstructionMixMatchesTrace)
     EXPECT_EQ(profile.instructionsInCategory(OpCategory::Dma), 1u);
 }
 
+TEST(Scheduler, OutlivesTheConfigItWasBuiltFrom)
+{
+    // Built from a temporary: a scheduler that kept a reference would
+    // replay against a dead config (ASan: stack-use-after-scope).
+    const RevolverScheduler sched(testConfig(1));
+    std::vector<TaskletTrace> traces(1);
+    traces[0].ops(OpClass::IntAdd, 10);
+    const auto profile = sched.run(traces);
+    EXPECT_EQ(profile.totalCycles, 9 * DpuConfig{}.revolverGap + 1);
+}
+
+TEST(SchedulerDeath, TaskletsAboveTheCeiling)
+{
+    auto cfg = testConfig(taskletCeiling + 8);
+    cfg.maxTasklets = cfg.tasklets;
+    const RevolverScheduler sched(cfg);
+    std::vector<TaskletTrace> traces(cfg.tasklets);
+    for (auto &t : traces)
+        t.ops(OpClass::IntAdd, 16);
+    EXPECT_DEATH(sched.run(traces), "tasklet ceiling");
+}
+
 TEST(Scheduler, DeterministicAcrossRuns)
 {
     const auto cfg = testConfig(6);

@@ -131,6 +131,13 @@ TEST(UpmemSystemDeath, TooManyDpusRequested)
                  "more DPUs");
 }
 
+TEST(UpmemSystemDeath, TaskletsAboveTheSchedulerCeiling)
+{
+    auto cfg = smallConfig(4, taskletCeiling + 8);
+    cfg.dpu.maxTasklets = cfg.dpu.tasklets;
+    EXPECT_DEATH(UpmemSystem{cfg}, "tasklet ceiling");
+}
+
 TEST(UpmemSystem, CopyOutlivesItsOriginal)
 {
     const UpmemSystem reference(smallConfig(16));
