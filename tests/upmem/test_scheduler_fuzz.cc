@@ -12,9 +12,11 @@
 
 #include <bit>
 #include <cstdio>
+#include <iterator>
 #include <string>
 
 #include "common/random.hh"
+#include "scheduler_corpus.hh"
 #include "upmem/scheduler.hh"
 
 using namespace alphapim;
@@ -22,161 +24,6 @@ using namespace alphapim::upmem;
 
 namespace
 {
-
-/**
- * Build a random, well-formed trace set: every mutex lock is paired
- * with an unlock; barriers appear at common sync points so every
- * live tasklet participates.
- */
-std::vector<TaskletTrace>
-randomTraces(std::uint64_t seed, unsigned tasklets)
-{
-    Rng rng(seed);
-    std::vector<TaskletTrace> traces(tasklets);
-    const unsigned phases = 1 + static_cast<unsigned>(
-                                    rng.nextBounded(4));
-    for (unsigned phase = 0; phase < phases; ++phase) {
-        for (unsigned t = 0; t < tasklets; ++t) {
-            auto &trace = traces[t];
-            const unsigned pieces = static_cast<unsigned>(
-                rng.nextBounded(6));
-            for (unsigned p = 0; p < pieces; ++p) {
-                switch (rng.nextBounded(5)) {
-                  case 0:
-                    trace.ops(OpClass::IntAdd,
-                              1 + static_cast<std::uint32_t>(
-                                      rng.nextBounded(64)));
-                    break;
-                  case 1:
-                    trace.ops(OpClass::LoadWram,
-                              1 + static_cast<std::uint32_t>(
-                                      rng.nextBounded(16)));
-                    break;
-                  case 2:
-                    trace.dmaRead(8 + static_cast<std::uint32_t>(
-                                          rng.nextBounded(2048)));
-                    break;
-                  case 3:
-                    trace.dmaWrite(8 + static_cast<std::uint32_t>(
-                                           rng.nextBounded(512)));
-                    break;
-                  default: {
-                    const auto id = static_cast<std::uint32_t>(
-                        rng.nextBounded(4));
-                    trace.mutexLock(id);
-                    trace.ops(OpClass::Compare,
-                              1 + static_cast<std::uint32_t>(
-                                      rng.nextBounded(8)));
-                    trace.mutexUnlock(id);
-                    break;
-                  }
-                }
-            }
-        }
-        // Common sync point.
-        for (unsigned t = 0; t < tasklets; ++t)
-            traces[t].barrier(0);
-    }
-    return traces;
-}
-
-/**
- * Golden-digest generator. Every live tasklet mixes long Ops runs
- * (>= 8 ops, so the closed-form fast path fires) with short runs,
- * addressed WRAM records, DMAs, contended critical sections on two
- * mutexes and SpMSpV-shaped edge records; all live tasklets meet at
- * barrier 0 once per phase, then arrive at barrier 1 an uneven
- * number of times. Some tasklets stay empty.
- */
-std::vector<TaskletTrace>
-goldenTraces(std::uint64_t seed, unsigned tasklets)
-{
-    Rng rng(seed);
-    auto draw = [&](std::uint64_t bound) {
-        return static_cast<std::uint32_t>(rng.nextBounded(bound));
-    };
-    constexpr OpClass longClasses[] = {OpClass::IntAdd, OpClass::Logic,
-                                       OpClass::FloatMul,
-                                       OpClass::LoadWram};
-    constexpr OpClass shortClasses[] = {OpClass::Compare, OpClass::Move,
-                                        OpClass::StoreWram,
-                                        OpClass::Control};
-
-    std::vector<TaskletTrace> traces(tasklets);
-    std::vector<bool> idle(tasklets, false);
-    for (unsigned t = 1; t < tasklets; ++t)
-        idle[t] = draw(8) == 0;
-
-    const unsigned phases = 1 + draw(3);
-    for (unsigned phase = 0; phase < phases; ++phase) {
-        for (unsigned t = 0; t < tasklets; ++t) {
-            if (idle[t])
-                continue;
-            auto &trace = traces[t];
-            trace.ops(longClasses[draw(4)], 8 + draw(120));
-            const unsigned pieces = 2 + draw(6);
-            for (unsigned p = 0; p < pieces; ++p) {
-                switch (draw(7)) {
-                  case 0:
-                    trace.ops(longClasses[draw(4)], 8 + draw(200));
-                    break;
-                  case 1:
-                    trace.ops(shortClasses[draw(4)], 1 + draw(7));
-                    break;
-                  case 2:
-                    trace.wramAccess(draw(2) ? OpClass::LoadWram
-                                             : OpClass::StoreWram,
-                                     1 + draw(12), 64 * draw(64),
-                                     4 * (1 + draw(12)));
-                    break;
-                  case 3:
-                    if (draw(2))
-                        trace.dmaRead(8 + 8 * draw(256));
-                    else
-                        trace.dmaWrite(8 + 8 * draw(64));
-                    break;
-                  case 4: {
-                    const auto id = draw(2);
-                    trace.mutexLock(id);
-                    trace.ops(OpClass::Compare, 1 + draw(10));
-                    trace.mutexUnlock(id);
-                    break;
-                  }
-                  default: {
-                    // One SpMSpV edge: load the pair, multiply, then
-                    // update the output row under its mutex.
-                    const auto id = draw(2);
-                    const auto addr = 4 * draw(256);
-                    trace.ops(OpClass::LoadWram, 2);
-                    trace.ops(OpClass::IntMul, 4);
-                    trace.mutexLock(id);
-                    trace.wramAccess(OpClass::LoadWram, 1, addr, 4);
-                    trace.wramAccess(OpClass::StoreWram, 1, addr, 4);
-                    trace.mutexUnlock(id);
-                    trace.ops(OpClass::Control, 1);
-                    break;
-                  }
-                }
-            }
-        }
-        for (unsigned t = 0; t < tasklets; ++t) {
-            if (!idle[t])
-                traces[t].barrier(0);
-        }
-    }
-    // Uneven trip counts: instance i of barrier 1 waits only for the
-    // tasklets that arrive more than i times.
-    for (unsigned t = 0; t < tasklets; ++t) {
-        if (idle[t])
-            continue;
-        const unsigned trips = draw(4);
-        for (unsigned i = 0; i < trips; ++i) {
-            traces[t].ops(OpClass::Logic, 1 + draw(40));
-            traces[t].barrier(1);
-        }
-    }
-    return traces;
-}
 
 Cycles
 allStalls(const DpuProfile &p)
@@ -286,58 +133,51 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerFuzz,
 namespace
 {
 
-constexpr unsigned goldenTasklets[] = {1, 3, 11, 16, 24};
-
-/** Base hardware, then each future-hardware knob on its own. */
-DpuConfig
-goldenConfig(unsigned variant, unsigned tasklets)
-{
-    DpuConfig cfg;
-    cfg.tasklets = tasklets;
-    cfg.nonBlockingDma = variant == 1;
-    cfg.hardwareAtomics = variant == 2;
-    return cfg;
-}
-
 /** Digests of goldenTraces(seed, tasklets) replayed under
  * goldenConfig(variant), indexed [seed - 1][tasklets][variant]. */
-constexpr std::uint64_t goldenDigests[6][5][3] = {
+constexpr std::uint64_t goldenDigests[6][6][3] = {
     {
         {0x8895e2779debd45b, 0x9fb8de374d86c648, 0x8895e2779debd45b},
         {0xd3c3b80acaa1db19, 0xa760c9b0eab1f69c, 0xd3c3b80acaa1db19},
         {0xb0fc96ce5563e234, 0x421cac0760c886c7, 0xe3de23a1031d7df3},
         {0x74583f44caaf3dc4, 0xb3b5f4411e5a3f9b, 0x16affc4d25e51fa8},
-        {0x49a1c08c716902e3, 0x9fdcf331f71b0065, 0x3573e27596b2d3d3}},
+        {0x49a1c08c716902e3, 0x9fdcf331f71b0065, 0x3573e27596b2d3d3},
+        {0x321b1f79cc942f77, 0x58a95986d4fc9ab3, 0xb9191c6ceefda5a8}},
     {
         {0x9b24edcadd513afe, 0x9b24edcadd513afe, 0x9b24edcadd513afe},
         {0xe28a4082a12cc8a0, 0xe28a4082a12cc8a0, 0xe28a4082a12cc8a0},
         {0x81d71e54ed2d86c2, 0x4c016d3eb0bfcef7, 0x4f58cf1be21ce016},
         {0x5eb722a62be1e935, 0x0f4bdb8a2344d210, 0x03cf64fcedae4205},
-        {0xc56b84028367fd06, 0xb1f0f4183b7f8841, 0xf86340472979363d}},
+        {0xc56b84028367fd06, 0xb1f0f4183b7f8841, 0xf86340472979363d},
+        {0x85c9a1277fa335a1, 0x05ba75e9fa1be014, 0xb4e2bee9248ee87d}},
     {
         {0x3457a59c67500f2b, 0x5b8f5e189f455413, 0x3457a59c67500f2b},
         {0xe931fc4628887ea9, 0x211c1c5534d2ca89, 0xe931fc4628887ea9},
         {0x630effd497e0d29e, 0x1933c0a646b3ae62, 0xba83a6cbcb40c89e},
         {0x7801ebb7ed1b88f3, 0xb48323da1b289e51, 0x4cc58e4ac334049e},
-        {0x71d5b2e36d6e3d23, 0xfe8ed8500b6103ea, 0xf7c5ace2bf7f99f0}},
+        {0x71d5b2e36d6e3d23, 0xfe8ed8500b6103ea, 0xf7c5ace2bf7f99f0},
+        {0xf91ff9c86244bf02, 0x5526933f5445d1a1, 0x06566614d512ece7}},
     {
         {0x8e1ddcf6afde41a5, 0xeb7007434e2d2f4e, 0x8e1ddcf6afde41a5},
         {0x927ed6dc23e34804, 0x841fdb314535e619, 0xfe8f1f3a63dcd35b},
         {0x1d0dbbcf684f49ea, 0xf53dd690658698bf, 0x2e7e35e351a41ddc},
         {0xd06f9716b1b6a781, 0x8ac33ca930950322, 0x943c32fb1bd52f7e},
-        {0xc59e0b7cc38d6ddb, 0xfdcdd3f53c9da390, 0x4025f2445ebf9537}},
+        {0xc59e0b7cc38d6ddb, 0xfdcdd3f53c9da390, 0x4025f2445ebf9537},
+        {0x88f04bf658ef34a2, 0xa32cc5efbe2f91a4, 0x524d63792300559c}},
     {
         {0x9d3721360798c384, 0x5c02160a96d0c5ee, 0x9d3721360798c384},
         {0xa4c0c55d602b252f, 0xaf68a19c13d13e09, 0x270ba8a35e849ea8},
         {0x6dbc92b81e6d6ba4, 0xadcedf1e799567ca, 0x065d631411ed9936},
         {0x4cff9e10d9d7267c, 0xb72a3b0eaf543bdf, 0x278fcd4beb4b0edc},
-        {0x4691d20842f3f83a, 0x3237b4930da4f6d0, 0x05497bdde1ffd2c7}},
+        {0x4691d20842f3f83a, 0x3237b4930da4f6d0, 0x05497bdde1ffd2c7},
+        {0x60152a76ff4cff8d, 0xe607f5b5230ccea6, 0x3f84f8229b9ef842}},
     {
         {0xeab1a48da7922659, 0xeab1a48da7922659, 0xeab1a48da7922659},
         {0x9a8c28f52fe79f98, 0x98af1ea3a3f71cc2, 0x9a8c28f52fe79f98},
         {0xcad4334c1a14e572, 0x05f51ea86e7a0f61, 0x6c1cde2860841b48},
         {0x7ed08d2703bfbccf, 0x56aa6274b8fd3b36, 0x7695319e5b5de1a0},
-        {0x243041da98d5bc6e, 0x2a8321b42312c760, 0x35ef06e2a8607884}}
+        {0x243041da98d5bc6e, 0x2a8321b42312c760, 0x35ef06e2a8607884},
+        {0x10bde5d866bd4f3a, 0x7f96a1945acec929, 0xe09bd8764e1779cf}}
 };
 
 /** Replay, check the invariants, and compare against the digest. */
@@ -356,10 +196,11 @@ expectGolden(const DpuConfig &cfg, const std::vector<TaskletTrace> &traces,
 TEST(SchedulerGolden, DigestsMatchCommittedProfiles)
 {
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-        for (unsigned i = 0; i < 5; ++i) {
+        for (unsigned i = 0; i < std::size(goldenTasklets); ++i) {
             const unsigned tasklets = goldenTasklets[i];
             const auto traces = goldenTraces(seed, tasklets);
-            for (unsigned variant = 0; variant < 3; ++variant) {
+            for (unsigned variant = 0; variant < goldenVariants;
+                 ++variant) {
                 expectGolden(goldenConfig(variant, tasklets), traces,
                              goldenDigests[seed - 1][i][variant],
                              "golden[" + std::to_string(seed - 1) +
