@@ -1,15 +1,20 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulation infrastructure
- * itself: revolver-scheduler replay throughput on long Ops runs and on
- * SpMSpV-shaped short records, trace generation, partitioned-block
- * construction, and one full SpMSpV launch. These bound the
- * wall-clock cost of the figure benches; all report wall time, since
- * a launch replays on parallelFor worker threads.
+ * itself: revolver-scheduler replay throughput on long Ops runs, on
+ * SpMSpV-shaped short records with a WRAM or an MRAM accumulator, and
+ * on traces captured from real CSC-2D and DCOO-2D launches; trace
+ * generation, partitioned-block construction, and one full SpMSpV
+ * launch. These bound the wall-clock cost of the figure benches; all
+ * report wall time, since a launch replays on parallelFor worker
+ * threads.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
+#include "analysis/capture.hh"
 #include "common/random.hh"
 #include "core/kernels.hh"
 #include "sparse/generators.hh"
@@ -20,18 +25,24 @@ using namespace alphapim;
 namespace
 {
 
-/** Replay `traces` once per iteration; report modeled DPU cycles
- * (replay slots) per wall second, like upmem.replay_mslots_per_s. */
+/** One trace set per DPU. */
+using DpuTraces = std::vector<std::vector<upmem::TaskletTrace>>;
+
+/** Replay every DPU's traces once per iteration; report modeled DPU
+ * cycles (replay slots) per wall second, like
+ * upmem.replay_mslots_per_s. */
 void
 replayLoop(benchmark::State &state, const upmem::DpuConfig &cfg,
-           const std::vector<upmem::TaskletTrace> &traces)
+           const DpuTraces &dpus)
 {
     const upmem::RevolverScheduler sched(cfg);
     std::uint64_t slots = 0;
     for (auto _ : state) {
-        auto profile = sched.run(traces);
-        benchmark::DoNotOptimize(profile.totalCycles);
-        slots += profile.totalCycles;
+        for (const auto &traces : dpus) {
+            auto profile = sched.run(traces);
+            benchmark::DoNotOptimize(profile.totalCycles);
+            slots += profile.totalCycles;
+        }
     }
     state.counters["slots_per_second"] = benchmark::Counter(
         static_cast<double>(slots), benchmark::Counter::kIsRate);
@@ -52,25 +63,24 @@ BM_SchedulerReplay(benchmark::State &state)
             t.ops(upmem::OpClass::Compare, ops_per_tasklet / 32);
         }
     }
-    replayLoop(state, cfg, traces);
+    replayLoop(state, cfg, {traces});
     state.SetItemsProcessed(state.iterations() * 16 *
                             ops_per_tasklet);
 }
 
 /**
  * The regime real kernels replay in: per edge, the SpMSpV inner loop
- * records a pair load, a multiply, the row group's mutex around an
- * addressed WRAM read-modify-write, and a loop branch, so almost every
- * dispatch takes the per-instruction path.
+ * records a pair load, a multiply, the row group's mutex around a
+ * read-modify-write of the row's accumulator, and a loop branch, so
+ * almost every dispatch takes the per-instruction path. The
+ * accumulator sits in WRAM (addressed scratchpad records) or, as in
+ * CSC-C on large matrices, in MRAM (one random 8-byte DMA read and
+ * write per edge).
  */
-void
-BM_SchedulerReplayShortRecords(benchmark::State &state)
+DpuTraces
+edgeTraces(std::uint32_t edges_per_tasklet, bool mram_accumulator)
 {
-    upmem::DpuConfig cfg;
-    cfg.tasklets = 16;
     std::vector<upmem::TaskletTrace> traces(16);
-    const auto edges_per_tasklet =
-        static_cast<std::uint32_t>(state.range(0));
     Rng rng(4);
     for (auto &t : traces) {
         for (std::uint32_t e = 0; e < edges_per_tasklet; ++e) {
@@ -82,16 +92,78 @@ BM_SchedulerReplayShortRecords(benchmark::State &state)
             t.ops(upmem::OpClass::LoadWram, 2);
             t.ops(upmem::OpClass::IntMul, 1);
             t.mutexLock(group);
-            t.wramAccess(upmem::OpClass::LoadWram, 1, slot, 4);
-            t.ops(upmem::OpClass::IntAdd, 1);
-            t.wramAccess(upmem::OpClass::StoreWram, 1, slot, 4);
+            if (mram_accumulator) {
+                t.dmaRead(8, 2 * slot);
+                t.ops(upmem::OpClass::IntAdd, 1);
+                t.dmaWrite(8, 2 * slot);
+            } else {
+                t.wramAccess(upmem::OpClass::LoadWram, 1, slot, 4);
+                t.ops(upmem::OpClass::IntAdd, 1);
+                t.wramAccess(upmem::OpClass::StoreWram, 1, slot, 4);
+            }
             t.mutexUnlock(group);
             t.ops(upmem::OpClass::Control, 1);
         }
     }
-    replayLoop(state, cfg, traces);
+    return {traces};
+}
+
+void
+BM_SchedulerReplayShortRecords(benchmark::State &state)
+{
+    upmem::DpuConfig cfg;
+    cfg.tasklets = 16;
+    const auto edges_per_tasklet =
+        static_cast<std::uint32_t>(state.range(0));
+    replayLoop(state, cfg, edgeTraces(edges_per_tasklet, false));
     state.SetItemsProcessed(state.iterations() * 16 *
                             edges_per_tasklet);
+}
+
+/** The DMA-bound case: the DMA waiters are the one part of the
+ * scheduler's run queue that is rescanned on every pick. */
+void
+BM_SchedulerReplayDmaBound(benchmark::State &state)
+{
+    upmem::DpuConfig cfg;
+    cfg.tasklets = 16;
+    const auto edges_per_tasklet =
+        static_cast<std::uint32_t>(state.range(0));
+    replayLoop(state, cfg, edgeTraces(edges_per_tasklet, true));
+    state.SetItemsProcessed(state.iterations() * 16 *
+                            edges_per_tasklet);
+}
+
+/**
+ * Traces of one real launch: a PlusTimes kernel of `variant` on a
+ * scale-free graph at 64 DPUs, with a tenth of the input entries set.
+ * The traces are captured once, with replay off, and then replayed
+ * each iteration.
+ */
+void
+BM_SchedulerReplayKernelTraces(benchmark::State &state)
+{
+    const auto variant = state.range(0) == 0
+        ? core::KernelVariant::SpmspvCsc2d
+        : core::KernelVariant::SpmvDcoo2d;
+    Rng rng(1);
+    const auto adj = sparse::edgeListToSymmetricCoo(
+        sparse::generateScaleMatched(20'000, 10, 30, rng));
+    upmem::SystemConfig sys_cfg;
+    sys_cfg.numDpus = 64;
+    auto capture = std::make_shared<analysis::TraceCapture>();
+    const upmem::UpmemSystem sys(sys_cfg, {capture});
+    sparse::SparseVector<float> x(adj.numRows());
+    for (NodeId i = 0; i < adj.numRows(); i += 10)
+        x.append(i, 1.0f);
+    core::makeKernel<core::PlusTimes>(variant, sys, adj, 64)->run(x);
+    auto launches = capture->take();
+    if (launches.size() != 1) {
+        state.SkipWithError("expected exactly one captured launch");
+        return;
+    }
+    replayLoop(state, sys_cfg.dpu, launches.front().dpuTraces);
+    state.SetLabel(core::kernelVariantName(variant));
 }
 
 void
@@ -150,6 +222,10 @@ BM_DatasetGeneration(benchmark::State &state)
 BENCHMARK(BM_SchedulerReplay)->Arg(1 << 10)->Arg(1 << 14)->UseRealTime();
 BENCHMARK(BM_SchedulerReplayShortRecords)->Arg(1 << 8)->Arg(1 << 11)
     ->UseRealTime();
+BENCHMARK(BM_SchedulerReplayDmaBound)->Arg(1 << 8)->Arg(1 << 11)
+    ->UseRealTime();
+// 0 = CSC-2D, 1 = DCOO-2D.
+BENCHMARK(BM_SchedulerReplayKernelTraces)->Arg(0)->Arg(1)->UseRealTime();
 BENCHMARK(BM_SpmspvLaunch)->Arg(5'000)->Arg(20'000)->UseRealTime();
 BENCHMARK(BM_GridPartitioning)->Arg(20'000)->UseRealTime();
 BENCHMARK(BM_DatasetGeneration)->Arg(50'000)->UseRealTime();
