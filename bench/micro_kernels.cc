@@ -77,10 +77,14 @@ BM_SchedulerReplay(benchmark::State &state)
  * CSC-C on large matrices, in MRAM (one random 8-byte DMA read and
  * write per edge).
  */
-DpuTraces
-edgeTraces(std::uint32_t edges_per_tasklet, bool mram_accumulator)
+void
+replayEdges(benchmark::State &state, bool mram_accumulator)
 {
+    upmem::DpuConfig cfg;
+    cfg.tasklets = 16;
     std::vector<upmem::TaskletTrace> traces(16);
+    const auto edges_per_tasklet =
+        static_cast<std::uint32_t>(state.range(0));
     Rng rng(4);
     for (auto &t : traces) {
         for (std::uint32_t e = 0; e < edges_per_tasklet; ++e) {
@@ -105,33 +109,23 @@ edgeTraces(std::uint32_t edges_per_tasklet, bool mram_accumulator)
             t.ops(upmem::OpClass::Control, 1);
         }
     }
-    return {traces};
+    replayLoop(state, cfg, {traces});
+    state.SetItemsProcessed(state.iterations() * 16 *
+                            edges_per_tasklet);
 }
 
 void
 BM_SchedulerReplayShortRecords(benchmark::State &state)
 {
-    upmem::DpuConfig cfg;
-    cfg.tasklets = 16;
-    const auto edges_per_tasklet =
-        static_cast<std::uint32_t>(state.range(0));
-    replayLoop(state, cfg, edgeTraces(edges_per_tasklet, false));
-    state.SetItemsProcessed(state.iterations() * 16 *
-                            edges_per_tasklet);
+    replayEdges(state, false);
 }
 
 /** The DMA-bound case: the DMA waiters are the one part of the
- * scheduler's run queue that is rescanned on every pick. */
+ * scheduler's run queue it rescans, whenever one is dispatched. */
 void
 BM_SchedulerReplayDmaBound(benchmark::State &state)
 {
-    upmem::DpuConfig cfg;
-    cfg.tasklets = 16;
-    const auto edges_per_tasklet =
-        static_cast<std::uint32_t>(state.range(0));
-    replayLoop(state, cfg, edgeTraces(edges_per_tasklet, true));
-    state.SetItemsProcessed(state.iterations() * 16 *
-                            edges_per_tasklet);
+    replayEdges(state, true);
 }
 
 /**

@@ -17,7 +17,8 @@ namespace alphapim::upmem
 
 /**
  * Most tasklets one DPU replay can hold: the scheduler packs a
- * tasklet's index into the low 5 bits of its dispatch key.
+ * tasklet's index into the low 5 bits of its dispatch key, and its
+ * run queue has exactly this many slots.
  * DpuConfig::maxTasklets must not exceed it.
  */
 inline constexpr unsigned taskletCeiling = 32;

@@ -182,7 +182,7 @@ RevolverScheduler::run(const std::vector<TaskletTrace> &traces) const
 
     struct BarrierInstance
     {
-        unsigned instance = 0;  ///< how many releases have happened
+        unsigned instance = 0; ///< how many releases have happened
         unsigned arrived = 0;
         std::uint32_t waiters = 0; ///< parked tasklets, one bit each
     };
