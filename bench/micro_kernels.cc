@@ -3,11 +3,11 @@
  * google-benchmark microbenchmarks of the simulation infrastructure
  * itself: revolver-scheduler replay throughput on long Ops runs, on
  * SpMSpV-shaped short records with a WRAM or an MRAM accumulator, and
- * on traces captured from real CSC-2D and DCOO-2D launches; trace
- * generation, partitioned-block construction, and one full SpMSpV
- * launch. These bound the wall-clock cost of the figure benches; all
- * report wall time, since a launch replays on parallelFor worker
- * threads.
+ * on traces captured from real CSC-2D and DCOO-2D launches; the host
+ * merge fold; trace generation, partitioned-block construction, and
+ * one full SpMSpV launch. These bound the wall-clock cost of the
+ * figure benches; all report wall time, since a launch replays on
+ * parallelFor worker threads.
  */
 
 #include <benchmark/benchmark.h>
@@ -160,6 +160,51 @@ BM_SchedulerReplayKernelTraces(benchmark::State &state)
     state.SetLabel(core::kernelVariantName(variant));
 }
 
+/**
+ * The host Merge step alone (HostPhase::HostMerge): foldSlots over
+ * synthetic per-DPU slots shaped like the two extremes measured on
+ * the end-to-end benchmark. Arg 0 is a road_traverse CSC-2D launch:
+ * 256 DPUs in a 16 x 16 grid over 5.4k rows, with two outputs for
+ * every three DPUs. Arg 1 is a dense_ppr DCOO-2D launch: 2048 DPUs in
+ * a 32 x 64 grid over 7.3k rows, with 18 outputs each.
+ */
+void
+BM_HostMerge(benchmark::State &state)
+{
+    const bool dense = state.range(0) == 1;
+    const unsigned grid_rows = dense ? 32 : 16;
+    const unsigned grid_cols = dense ? 64 : 16;
+    const NodeId n = dense ? 7'338 : 5'400;
+    Rng rng(4);
+    std::vector<core::DpuSlot<float>> slots(grid_rows * grid_cols);
+    std::uint64_t outputs = 0;
+    for (std::size_t d = 0; d < slots.size(); ++d) {
+        // A DPU's outputs fall in its grid row's row range.
+        const auto tile_row = static_cast<NodeId>(d / grid_cols);
+        const NodeId lo = n * tile_row / grid_rows;
+        const NodeId hi = n * (tile_row + 1) / grid_rows;
+        const unsigned k =
+            dense ? 18 : (rng.nextBernoulli(2.0 / 3.0) ? 1 : 0);
+        for (unsigned i = 0; i < k; ++i) {
+            const NodeId row = lo + (hi - lo) * i / k +
+                               static_cast<NodeId>(
+                                   rng.nextBounded((hi - lo) / k));
+            slots[d].outputs.emplace_back(
+                row, static_cast<float>(rng.nextDouble()));
+        }
+        outputs += k;
+    }
+    std::vector<float> y(n, 0.0f);
+    for (auto _ : state) {
+        core::foldSlots<core::PlusTimes>(slots, y);
+        benchmark::DoNotOptimize(y.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations() * outputs));
+    state.SetLabel(dense ? "dense_ppr" : "road_traverse");
+}
+
 void
 BM_SpmspvLaunch(benchmark::State &state)
 {
@@ -220,6 +265,8 @@ BENCHMARK(BM_SchedulerReplayDmaBound)->Arg(1 << 8)->Arg(1 << 11)
     ->UseRealTime();
 // 0 = CSC-2D, 1 = DCOO-2D.
 BENCHMARK(BM_SchedulerReplayKernelTraces)->Arg(0)->Arg(1)->UseRealTime();
+// 0 = road_traverse-shaped slots, 1 = dense_ppr-shaped slots.
+BENCHMARK(BM_HostMerge)->Arg(0)->Arg(1)->UseRealTime();
 BENCHMARK(BM_SpmspvLaunch)->Arg(5'000)->Arg(20'000)->UseRealTime();
 BENCHMARK(BM_GridPartitioning)->Arg(20'000)->UseRealTime();
 BENCHMARK(BM_DatasetGeneration)->Arg(50'000)->UseRealTime();

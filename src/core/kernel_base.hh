@@ -1,16 +1,18 @@
 /**
  * @file
  * Shared machinery of the PIM matrix-vector kernels: the abstract
- * kernel interface used by applications and benches, work-splitting
- * helpers, and the WRAM budgeting rules that decide whether a kernel
- * accumulates its output (or caches its input vector) in scratchpad
- * or in MRAM.
+ * kernel interface used by applications and benches, the launch
+ * skeleton every kernel runs (Kernel -> Retrieve -> Merge over
+ * per-DPU output slots), work-splitting helpers, and the WRAM
+ * budgeting rules that decide whether a kernel accumulates its output
+ * (or caches its input vector) in scratchpad or in MRAM.
  */
 
 #ifndef ALPHA_PIM_CORE_KERNEL_BASE_HH
 #define ALPHA_PIM_CORE_KERNEL_BASE_HH
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/types.hh"
@@ -19,6 +21,7 @@
 #include "core/semiring.hh"
 #include "sparse/partition_shares.hh"
 #include "sparse/sparse_vector.hh"
+#include "telemetry/host_prof.hh"
 #include "upmem/upmem_system.hh"
 
 namespace alphapim::core
@@ -73,6 +76,92 @@ class PimMxvKernel
     /** Total modeled MRAM footprint of the partitioned matrix. */
     virtual Bytes matrixBytes() const = 0;
 };
+
+/** What one DPU hands back from a launch. Only that DPU's launch
+ * worker writes it. */
+template <typename V>
+struct DpuSlot
+{
+    /** Nonzero outputs as (global row, value), at most one per row. */
+    std::vector<std::pair<NodeId, V>> outputs;
+    Bytes retrieveBytes = 0;       ///< bytes the Retrieve phase gathers
+    std::uint64_t mergeOps = 0;    ///< host operations Merge charges
+    std::uint64_t semiringOps = 0; ///< semiring add+mul performed
+};
+
+/**
+ * The host Merge step: add every slot's outputs into `y` in DPU
+ * order. The order is fixed, so floating-point sums do not depend on
+ * how the DPUs were spread over host threads.
+ */
+template <Semiring S>
+void
+foldSlots(const std::vector<DpuSlot<typename S::Value>> &slots,
+          std::vector<typename S::Value> &y)
+{
+    for (const auto &slot : slots) {
+        for (const auto &[row, value] : slot.outputs)
+            y[row] = S::add(y[row], value);
+    }
+}
+
+/**
+ * Run one launch of a kernel whose Load the caller has charged:
+ * Kernel (`body` on every DPU), then Merge (foldSlots, on this
+ * thread) and the Retrieve and Merge charges.
+ *
+ * @param kernel     variant name reported to the launch observers
+ * @param blocks     the kernel's per-DPU blocks, one DPU each
+ * @param n          output dimension
+ * @param load       the Load phase's modeled time
+ * @param body       body(dpu, traces, slot): emulate DPU `dpu`,
+ *                   record its tasklet traces and fill its own slot
+ * @param merge_cost merge_cost(retrieved_bytes, merge_ops): the
+ *                   kernel's modeled Merge time over all slots
+ */
+template <Semiring S, typename Body, typename MergeCost>
+MxvResult<typename S::Value>
+launchMxv(const upmem::UpmemSystem &sys, const char *kernel,
+          const std::vector<DeviceBlock> &blocks, NodeId n, Seconds load,
+          const Body &body, const MergeCost &merge_cost)
+{
+    MxvResult<typename S::Value> result;
+    result.times.load = load;
+    std::vector<DpuSlot<typename S::Value>> slots(blocks.size());
+    result.profile = sys.launchKernel(
+        static_cast<unsigned>(blocks.size()),
+        [&](unsigned dpu, std::vector<upmem::TaskletTrace> &traces) {
+            body(dpu, traces, slots[dpu]);
+        },
+        {kernel, [&blocks] { return partitionShares(blocks); }});
+    result.times.kernel = sys.kernelSeconds(result.profile);
+
+    result.y.assign(n, S::zero());
+    {
+        telemetry::HostPhaseTimer host_timer(
+            telemetry::HostPhase::HostMerge);
+        foldSlots<S>(slots, result.y);
+    }
+
+    std::vector<Bytes> retrieve_bytes(slots.size());
+    Bytes retrieved = 0;
+    std::uint64_t merge_ops = 0;
+    for (std::size_t d = 0; d < slots.size(); ++d) {
+        retrieve_bytes[d] = slots[d].retrieveBytes;
+        retrieved += slots[d].retrieveBytes;
+        merge_ops += slots[d].mergeOps;
+        result.semiringOps += slots[d].semiringOps;
+    }
+    result.times.retrieve = sys.transfer().scatterGather(
+        retrieve_bytes, upmem::TransferDirection::DpuToHost);
+    result.times.merge = merge_cost(retrieved, merge_ops);
+
+    for (const auto &v : result.y) {
+        if (!S::isZero(v))
+            ++result.outputNnz;
+    }
+    return result;
+}
 
 namespace detail
 {

@@ -15,7 +15,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <mutex>
 
 #include "common/logging.hh"
 #include "core/device_block.hh"
@@ -91,8 +90,6 @@ class CscSpmspv : public PimMxvKernel<S>
     run(const sparse::SparseVector<Value> &x) const override
     {
         ALPHA_ASSERT(x.dim() == n_, "input vector dimension mismatch");
-        MxvResult<Value> result;
-        result.y.assign(n_, S::zero());
 
         // -------- Load phase: distribute the compressed x --------
         const Bytes x_bytes =
@@ -115,50 +112,26 @@ class CscSpmspv : public PimMxvKernel<S>
             load_bytes[d] =
                 static_cast<Bytes>(hi - lo) * kVecPair;
         }
-        if (mode_ == CscMode::RowWise) {
-            result.times.load =
-                sys_.transfer().broadcast(x_bytes, dpus_);
-        } else {
-            result.times.load = sys_.transfer().scatterGather(
-                load_bytes, upmem::TransferDirection::HostToDpu);
-        }
+        const Seconds load =
+            mode_ == CscMode::RowWise
+                ? sys_.transfer().broadcast(x_bytes, dpus_)
+                : sys_.transfer().scatterGather(
+                      load_bytes, upmem::TransferDirection::HostToDpu);
 
-        // -------- Kernel phase --------
-        std::vector<Bytes> retrieve_bytes(blocks_.size(), 0);
-        std::uint64_t merge_ops = 0;
-        std::uint64_t semiring_ops = 0;
-        std::mutex merge_mutex;
-
-        const auto profile = sys_.launchKernel(
-            static_cast<unsigned>(blocks_.size()),
-            [&](unsigned dpu, std::vector<upmem::TaskletTrace> &tr) {
-                runOneDpu(dpu, x, x_slices[dpu], tr, result,
-                          retrieve_bytes, merge_ops, semiring_ops,
-                          merge_mutex);
+        return launchMxv<S>(
+            sys_, this->name(), blocks_, n_, load,
+            [&](unsigned dpu, std::vector<upmem::TaskletTrace> &tr,
+                DpuSlot<Value> &out) {
+                runOneDpu(dpu, x, x_slices[dpu], tr, out);
             },
-            {this->name(), [this] { return partitionShares(blocks_); }});
-        result.profile = profile;
-        result.times.kernel = sys_.kernelSeconds(profile);
-        result.semiringOps = semiring_ops;
-
-        // -------- Retrieve phase --------
-        result.times.retrieve = sys_.transfer().scatterGather(
-            retrieve_bytes, upmem::TransferDirection::DpuToHost);
-
-        // -------- Merge phase --------
-        if (mode_ != CscMode::RowWise) {
-            Bytes merge_bytes = static_cast<Bytes>(n_) * sizeof(Value);
-            for (Bytes b : retrieve_bytes)
-                merge_bytes += b;
-            result.times.merge =
-                sys_.host().mergeTime(merge_bytes, merge_ops);
-        }
-
-        for (const Value &v : result.y) {
-            if (!S::isZero(v))
-                ++result.outputNnz;
-        }
-        return result;
+            [this](Bytes retrieved, std::uint64_t merge_ops) {
+                // CSC-R's row slices are disjoint: nothing to merge.
+                if (mode_ == CscMode::RowWise)
+                    return Seconds{0.0};
+                return sys_.host().mergeTime(
+                    static_cast<Bytes>(n_) * sizeof(Value) + retrieved,
+                    merge_ops);
+            });
     }
 
     const char *
@@ -194,17 +167,13 @@ class CscSpmspv : public PimMxvKernel<S>
   private:
     /**
      * Emulate one DPU: split the update stream over tasklets, record
-     * traces, accumulate the partial output, and fold it into the
-     * shared result under the merge mutex.
+     * traces, and hand back the DPU's nonzero outputs in its slot.
      */
     void
     runOneDpu(unsigned dpu, const sparse::SparseVector<Value> &x,
               std::pair<std::size_t, std::size_t> slice,
               std::vector<upmem::TaskletTrace> &traces,
-              MxvResult<Value> &result,
-              std::vector<Bytes> &retrieve_bytes,
-              std::uint64_t &merge_ops, std::uint64_t &semiring_ops,
-              std::mutex &merge_mutex) const
+              DpuSlot<Value> &dpu_out) const
     {
         const DeviceBlock &block = blocks_[dpu];
         const auto &cfg = sys_.config().dpu;
@@ -229,7 +198,18 @@ class CscSpmspv : public PimMxvKernel<S>
             updates += last - first;
         }
 
-        std::vector<Value> partial(block.rows, S::zero());
+        // Accumulator scratch reused by every DPU this thread
+        // emulates. It is all zero between DPUs and only touched rows
+        // are reset, so a DPU with k updates costs O(k) host work,
+        // not O(block.rows).
+        thread_local std::vector<Value> row_sum;
+        thread_local std::vector<std::uint8_t> row_touched;
+        thread_local std::vector<NodeId> touched_rows;
+        if (row_sum.size() < block.rows) {
+            row_sum.resize(block.rows, S::zero());
+            row_touched.resize(block.rows, 0);
+        }
+
         const bool wram_out =
             static_cast<Bytes>(block.rows) * sizeof(Value) <=
             detail::wramOutputBudget(cfg);
@@ -272,7 +252,6 @@ class CscSpmspv : public PimMxvKernel<S>
             ALPHA_ASSERT(seen == updates, "update split lost entries");
         }
 
-        std::uint64_t local_ops = 0;
         for (unsigned t = 0; t < tasklets; ++t) {
             upmem::TaskletCtx ctx(cfg, traces[t]);
             // The tasklet's share of the compressed x slice streams
@@ -307,8 +286,11 @@ class CscSpmspv : public PimMxvKernel<S>
                     const NodeId row = block.rowIdx[e];
                     const Value contrib = S::mul(
                         S::fromMatrix(block.values[e]), col.xval);
-                    partial[row] = S::add(partial[row], contrib);
-                    local_ops += 2;
+                    if (!row_touched[row]) {
+                        row_touched[row] = 1;
+                        touched_rows.push_back(row);
+                    }
+                    row_sum[row] = S::add(row_sum[row], contrib);
 
                     ctx.loadWram(2);
                     ctx.op(S::mulOp(), kLanes);
@@ -354,18 +336,21 @@ class CscSpmspv : public PimMxvKernel<S>
             ctx.barrier(detail::kernelBarrier);
         }
 
+        for (const NodeId row : touched_rows) {
+            if (!S::isZero(row_sum[row]))
+                dpu_out.outputs.emplace_back(block.rowBase + row,
+                                             row_sum[row]);
+            row_sum[row] = S::zero();
+            row_touched[row] = 0;
+        }
+        touched_rows.clear();
+
         // Compaction + write-back after the barrier. The WRAM-
         // accumulating kernel keeps a touched-row list at update
         // time, so compaction is proportional to the output nnz;
         // the MRAM-accumulating kernel (CSC-C on large matrices)
         // must stream and scan the whole dense partial.
-        std::uint64_t out_nnz = 0;
-        for (const Value &v : partial) {
-            if (!S::isZero(v))
-                ++out_nnz;
-        }
-        const Bytes out_bytes =
-            static_cast<Bytes>(out_nnz) * kVecPair;
+        const std::uint64_t out_nnz = dpu_out.outputs.size();
         const auto out_split = detail::evenSplit(out_nnz, tasklets);
         const auto rows_split =
             detail::evenSplit(block.rows, tasklets);
@@ -398,22 +383,10 @@ class CscSpmspv : public PimMxvKernel<S>
             ctx.streamToMram(static_cast<Bytes>(share) * kVecPair);
         }
 
-        // Fold the partial into the shared output.
-        {
-            telemetry::HostPhaseTimer host_timer(
-                telemetry::HostPhase::HostMerge);
-            std::lock_guard<std::mutex> lock(merge_mutex);
-            for (NodeId r = 0; r < block.rows; ++r) {
-                if (!S::isZero(partial[r])) {
-                    result.y[block.rowBase + r] = S::add(
-                        result.y[block.rowBase + r], partial[r]);
-                }
-            }
-            retrieve_bytes[dpu] = out_bytes;
-            if (mode_ != CscMode::RowWise)
-                merge_ops += out_nnz;
-            semiring_ops += local_ops;
-        }
+        dpu_out.semiringOps = 2 * updates; // one mul + one add each
+        dpu_out.retrieveBytes = static_cast<Bytes>(out_nnz) * kVecPair;
+        if (mode_ != CscMode::RowWise)
+            dpu_out.mergeOps = out_nnz;
     }
 
     const upmem::UpmemSystem &sys_;
@@ -469,41 +442,22 @@ class RowMajorSpmspv : public PimMxvKernel<S>
     run(const sparse::SparseVector<Value> &x) const override
     {
         ALPHA_ASSERT(x.dim() == n_, "input vector dimension mismatch");
-        MxvResult<Value> result;
-        result.y.assign(n_, S::zero());
 
         // Row-wise partitioning broadcasts the whole compressed x.
         const Bytes x_bytes =
             static_cast<Bytes>(x.nnz()) * kVecPair;
-        result.times.load = sys_.transfer().broadcast(x_bytes, dpus_);
+        const Seconds load = sys_.transfer().broadcast(x_bytes, dpus_);
 
         // Dense image of x for O(1) functional lookups.
-        std::vector<Value> x_dense = x.toDense(S::zero());
-
-        std::vector<Bytes> retrieve_bytes(blocks_.size(), 0);
-        std::uint64_t semiring_ops = 0;
-        std::mutex merge_mutex;
-
-        const auto profile = sys_.launchKernel(
-            static_cast<unsigned>(blocks_.size()),
-            [&](unsigned dpu, std::vector<upmem::TaskletTrace> &tr) {
-                runOneDpu(dpu, x, x_dense, tr, result, retrieve_bytes,
-                          semiring_ops, merge_mutex);
+        const std::vector<Value> x_dense = x.toDense(S::zero());
+        return launchMxv<S>(
+            sys_, this->name(), blocks_, n_, load,
+            [&](unsigned dpu, std::vector<upmem::TaskletTrace> &tr,
+                DpuSlot<Value> &out) {
+                runOneDpu(dpu, x, x_dense, tr, out);
             },
-            {this->name(), [this] { return partitionShares(blocks_); }});
-        result.profile = profile;
-        result.times.kernel = sys_.kernelSeconds(profile);
-        result.semiringOps = semiring_ops;
-
-        result.times.retrieve = sys_.transfer().scatterGather(
-            retrieve_bytes, upmem::TransferDirection::DpuToHost);
-        // Row-wise partitions produce disjoint output slices: no merge.
-
-        for (const Value &v : result.y) {
-            if (!S::isZero(v))
-                ++result.outputNnz;
-        }
-        return result;
+            // Row-wise partitions produce disjoint output slices.
+            [](Bytes, std::uint64_t) { return Seconds{0.0}; });
     }
 
     const char *name() const override { return UseCsr ? "CSR" : "COO"; }
@@ -526,10 +480,7 @@ class RowMajorSpmspv : public PimMxvKernel<S>
     runOneDpu(unsigned dpu, const sparse::SparseVector<Value> &x,
               const std::vector<Value> &x_dense,
               std::vector<upmem::TaskletTrace> &traces,
-              MxvResult<Value> &result,
-              std::vector<Bytes> &retrieve_bytes,
-              std::uint64_t &semiring_ops,
-              std::mutex &merge_mutex) const
+              DpuSlot<Value> &dpu_out) const
     {
         const DeviceBlock &block = blocks_[dpu];
         const auto &cfg = sys_.config().dpu;
@@ -539,10 +490,6 @@ class RowMajorSpmspv : public PimMxvKernel<S>
             static_cast<Bytes>(x.nnz()) * kVecPair;
         const bool x_cached =
             x_bytes <= detail::wramInputBudget(cfg);
-        const unsigned probes = detail::searchDepth(x.nnz());
-
-        std::vector<Value> partial(block.rows, S::zero());
-        std::uint64_t local_ops = 0;
 
         // Cooperative preload of the compressed x into WRAM when it
         // fits; otherwise lookups go to MRAM.
@@ -555,11 +502,10 @@ class RowMajorSpmspv : public PimMxvKernel<S>
         }
 
         if (UseCsr) {
-            runCsrTasklets(block, x, x_dense, traces, partial,
-                           local_ops, x_cached, probes);
+            runCsrTasklets(block, x, x_dense, traces, dpu_out, x_cached);
         } else {
-            runCooTasklets(block, x, x_dense, traces, partial,
-                           local_ops, x_cached, probes);
+            runCooTasklets(block, x_dense, traces, dpu_out, x_cached,
+                           detail::searchDepth(x.nnz()));
         }
 
         for (unsigned t = 0; t < tasklets; ++t) {
@@ -570,11 +516,7 @@ class RowMajorSpmspv : public PimMxvKernel<S>
         // Compact the (disjoint) output slice and write it back;
         // touched rows are tracked at update time, so the epilogue
         // is proportional to the output nnz.
-        std::uint64_t out_nnz = 0;
-        for (const Value &v : partial) {
-            if (!S::isZero(v))
-                ++out_nnz;
-        }
+        const std::uint64_t out_nnz = dpu_out.outputs.size();
         const auto out_split = detail::evenSplit(out_nnz, tasklets);
         for (unsigned t = 0; t < tasklets; ++t) {
             upmem::TaskletCtx ctx(cfg, traces[t]);
@@ -585,35 +527,32 @@ class RowMajorSpmspv : public PimMxvKernel<S>
             ctx.control(share / 4 + 1);
             ctx.streamToMram(static_cast<Bytes>(share) * kVecPair);
         }
-
-        {
-            telemetry::HostPhaseTimer host_timer(
-                telemetry::HostPhase::HostMerge);
-            std::lock_guard<std::mutex> lock(merge_mutex);
-            for (NodeId r = 0; r < block.rows; ++r) {
-                if (!S::isZero(partial[r]))
-                    result.y[block.rowBase + r] = partial[r];
-            }
-            retrieve_bytes[dpu] =
-                static_cast<Bytes>(out_nnz) * kVecPair;
-            semiring_ops += local_ops;
-        }
+        dpu_out.retrieveBytes = static_cast<Bytes>(out_nnz) * kVecPair;
     }
 
     /** COO flavour: nonzero-balanced tasklet split, per-entry binary
      * search of the compressed x. */
     void
     runCooTasklets(const DeviceBlock &block,
-                   const sparse::SparseVector<Value> &x,
                    const std::vector<Value> &x_dense,
                    std::vector<upmem::TaskletTrace> &traces,
-                   std::vector<Value> &partial,
-                   std::uint64_t &local_ops, bool x_cached,
+                   DpuSlot<Value> &dpu_out, bool x_cached,
                    unsigned probes) const
     {
         const auto &cfg = sys_.config().dpu;
         const unsigned tasklets = cfg.tasklets;
         const auto split = detail::evenSplit(block.nnz(), tasklets);
+
+        // Entries are sorted by (row, col) and the tasklets take
+        // consecutive ranges, so a row's sum is complete once the
+        // next row starts.
+        NodeId acc_row = invalidNode;
+        Value acc = S::zero();
+        const auto closeRow = [&] {
+            if (acc_row != invalidNode && !S::isZero(acc))
+                dpu_out.outputs.emplace_back(block.rowBase + acc_row,
+                                             acc);
+        };
 
         for (unsigned t = 0; t < tasklets; ++t) {
             upmem::TaskletCtx ctx(cfg, traces[t]);
@@ -643,10 +582,14 @@ class RowMajorSpmspv : public PimMxvKernel<S>
                 }
                 const Value xv = x_dense[col];
                 if (!S::isZero(xv)) {
-                    partial[row] = S::add(
-                        partial[row],
-                        S::mul(S::fromMatrix(block.values[e]), xv));
-                    local_ops += 2;
+                    if (row != acc_row) {
+                        closeRow();
+                        acc_row = row;
+                        acc = S::zero();
+                    }
+                    acc = S::add(
+                        acc, S::mul(S::fromMatrix(block.values[e]), xv));
+                    dpu_out.semiringOps += 2;
                     ctx.op(S::mulOp(), kLanes);
                     ctx.op(S::addOp(), kLanes);
                 }
@@ -678,7 +621,7 @@ class RowMajorSpmspv : public PimMxvKernel<S>
             if (last_row != first_row)
                 mergeBoundary(last_row);
         }
-        (void)x;
+        closeRow();
     }
 
     /** CSR flavour: row-balanced tasklet split; each nonempty row
@@ -688,11 +631,8 @@ class RowMajorSpmspv : public PimMxvKernel<S>
                    const sparse::SparseVector<Value> &x,
                    const std::vector<Value> &x_dense,
                    std::vector<upmem::TaskletTrace> &traces,
-                   std::vector<Value> &partial,
-                   std::uint64_t &local_ops, bool x_cached,
-                   unsigned probes) const
+                   DpuSlot<Value> &dpu_out, bool x_cached) const
     {
-        (void)probes;
         const auto &cfg = sys_.config().dpu;
         const unsigned tasklets = cfg.tasklets;
 
@@ -746,12 +686,13 @@ class RowMajorSpmspv : public PimMxvKernel<S>
                             acc, S::mul(
                                      S::fromMatrix(block.values[e]),
                                      xv));
-                        local_ops += 2;
+                        dpu_out.semiringOps += 2;
                         ctx.op(S::mulOp(), kLanes);
                         ctx.op(S::addOp(), kLanes);
                     }
                 }
-                partial[r] = S::add(partial[r], acc);
+                if (!S::isZero(acc))
+                    dpu_out.outputs.emplace_back(block.rowBase + r, acc);
                 ctx.storeWram(1);
             }
         }

@@ -16,7 +16,6 @@
 #define ALPHA_PIM_CORE_SPMV_HH
 
 #include <algorithm>
-#include <mutex>
 
 #include "common/logging.hh"
 #include "core/device_block.hh"
@@ -77,66 +76,40 @@ class SpmvKernel : public PimMxvKernel<S>
     run(const sparse::SparseVector<Value> &x) const override
     {
         ALPHA_ASSERT(x.dim() == n_, "input vector dimension mismatch");
-        MxvResult<Value> result;
-        result.y.assign(n_, S::zero());
 
         // -------- Load phase: dense input vector --------
         const Bytes dense_bytes =
             static_cast<Bytes>(n_) * sizeof(Value);
+        Seconds load = 0.0;
         if (mode_ == SpmvMode::Coo1d) {
-            result.times.load =
-                sys_.transfer().broadcast(dense_bytes, dpus_);
+            load = sys_.transfer().broadcast(dense_bytes, dpus_);
         } else {
             std::vector<Bytes> seg(blocks_.size());
             for (std::size_t d = 0; d < blocks_.size(); ++d) {
                 seg[d] = static_cast<Bytes>(blocks_[d].cols) *
                          sizeof(Value);
             }
-            result.times.load = sys_.transfer().scatterGather(
+            load = sys_.transfer().scatterGather(
                 seg, upmem::TransferDirection::HostToDpu);
         }
 
-        std::vector<Value> x_dense = x.toDense(S::zero());
-
-        // -------- Kernel phase --------
-        std::vector<Bytes> retrieve_bytes(blocks_.size(), 0);
-        std::uint64_t merge_ops = 0;
-        std::uint64_t semiring_ops = 0;
-        std::mutex merge_mutex;
-
-        const auto profile = sys_.launchKernel(
-            static_cast<unsigned>(blocks_.size()),
-            [&](unsigned dpu, std::vector<upmem::TaskletTrace> &tr) {
-                runOneDpu(dpu, x_dense, tr, result, retrieve_bytes,
-                          merge_ops, semiring_ops, merge_mutex);
+        const std::vector<Value> x_dense = x.toDense(S::zero());
+        return launchMxv<S>(
+            sys_, this->name(), blocks_, n_, load,
+            [&](unsigned dpu, std::vector<upmem::TaskletTrace> &tr,
+                DpuSlot<Value> &out) {
+                runOneDpu(dpu, x_dense, tr, out);
             },
-            {this->name(), [this] { return partitionShares(blocks_); }});
-        result.profile = profile;
-        result.times.kernel = sys_.kernelSeconds(profile);
-        result.semiringOps = semiring_ops;
-
-        // -------- Retrieve phase: dense output slices --------
-        result.times.retrieve = sys_.transfer().scatterGather(
-            retrieve_bytes, upmem::TransferDirection::DpuToHost);
-
-        // -------- Merge phase --------
-        Bytes merge_bytes = 0;
-        if (mode_ == SpmvMode::Coo1d) {
-            // Only slice-boundary rows need combining.
-            merge_bytes = static_cast<Bytes>(dpus_) * 16;
-        } else {
-            merge_bytes = static_cast<Bytes>(n_) * sizeof(Value);
-            for (Bytes b : retrieve_bytes)
-                merge_bytes += b;
-        }
-        result.times.merge =
-            sys_.host().mergeTime(merge_bytes, merge_ops);
-
-        for (const Value &v : result.y) {
-            if (!S::isZero(v))
-                ++result.outputNnz;
-        }
-        return result;
+            [this](Bytes retrieved, std::uint64_t merge_ops) {
+                // COO.nnz combines only slice-boundary rows; DCOO
+                // merges every grid column's partial output.
+                const Bytes merge_bytes =
+                    mode_ == SpmvMode::Coo1d
+                        ? static_cast<Bytes>(dpus_) * 16
+                        : static_cast<Bytes>(n_) * sizeof(Value) +
+                              retrieved;
+                return sys_.host().mergeTime(merge_bytes, merge_ops);
+            });
     }
 
     const char *
@@ -166,10 +139,7 @@ class SpmvKernel : public PimMxvKernel<S>
     void
     runOneDpu(unsigned dpu, const std::vector<Value> &x_dense,
               std::vector<upmem::TaskletTrace> &traces,
-              MxvResult<Value> &result,
-              std::vector<Bytes> &retrieve_bytes,
-              std::uint64_t &merge_ops, std::uint64_t &semiring_ops,
-              std::mutex &merge_mutex) const
+              DpuSlot<Value> &dpu_out) const
     {
         const DeviceBlock &block = blocks_[dpu];
         const auto &cfg = sys_.config().dpu;
@@ -185,8 +155,16 @@ class SpmvKernel : public PimMxvKernel<S>
         const bool x_cached =
             seg_bytes <= detail::wramInputBudget(cfg);
 
-        std::vector<Value> partial(block.rows, S::zero());
-        std::uint64_t local_ops = 0;
+        // Entries are sorted by (row, col) and the tasklets take
+        // consecutive ranges, so a row's sum is complete once the
+        // next row starts.
+        NodeId acc_row = invalidNode;
+        Value acc = S::zero();
+        const auto closeRow = [&] {
+            if (acc_row != invalidNode && !S::isZero(acc))
+                dpu_out.outputs.emplace_back(block.rowBase + acc_row,
+                                             acc);
+        };
 
         for (unsigned t = 0; t < tasklets; ++t) {
             upmem::TaskletCtx ctx(cfg, traces[t]);
@@ -230,10 +208,13 @@ class SpmvKernel : public PimMxvKernel<S>
                             : upmem::traceNoAddr);
                 }
                 const Value xv = x_dense[block.colBase + col];
-                partial[row] = S::add(
-                    partial[row],
-                    S::mul(S::fromMatrix(block.values[e]), xv));
-                local_ops += 2;
+                if (row != acc_row) {
+                    closeRow();
+                    acc_row = row;
+                    acc = S::zero();
+                }
+                acc = S::add(acc,
+                             S::mul(S::fromMatrix(block.values[e]), xv));
                 ctx.op(S::mulOp(), kLanes);
                 ctx.op(S::addOp(), kLanes);
                 ctx.control(1);
@@ -278,24 +259,11 @@ class SpmvKernel : public PimMxvKernel<S>
                 ctx.streamToMram(out.bytes, out.addr);
         }
 
-        {
-            telemetry::HostPhaseTimer host_timer(
-                telemetry::HostPhase::HostMerge);
-            std::lock_guard<std::mutex> lock(merge_mutex);
-            for (NodeId r = 0; r < block.rows; ++r) {
-                if (!S::isZero(partial[r])) {
-                    result.y[block.rowBase + r] = S::add(
-                        result.y[block.rowBase + r], partial[r]);
-                }
-            }
-            retrieve_bytes[dpu] =
-                static_cast<Bytes>(block.rows) * sizeof(Value);
-            if (mode_ == SpmvMode::Dcoo2d)
-                merge_ops += block.rows;
-            else
-                merge_ops += 2;
-            semiring_ops += local_ops;
-        }
+        closeRow();
+        dpu_out.semiringOps = 2 * block.nnz(); // one mul + one add each
+        dpu_out.retrieveBytes =
+            static_cast<Bytes>(block.rows) * sizeof(Value);
+        dpu_out.mergeOps = mode_ == SpmvMode::Dcoo2d ? block.rows : 2;
     }
 
     const upmem::UpmemSystem &sys_;
@@ -342,40 +310,22 @@ class SpmvRow1d : public PimMxvKernel<S>
     run(const sparse::SparseVector<Value> &x) const override
     {
         ALPHA_ASSERT(x.dim() == n_, "input vector dimension mismatch");
-        MxvResult<Value> result;
-        result.y.assign(n_, S::zero());
-
         const Bytes dense_bytes =
             static_cast<Bytes>(n_) * sizeof(Value);
-        result.times.load =
+        const Seconds load =
             sys_.transfer().broadcast(dense_bytes, dpus_);
 
-        std::vector<Value> x_dense = x.toDense(S::zero());
-        std::vector<Bytes> retrieve_bytes(blocks_.size(), 0);
-        std::uint64_t semiring_ops = 0;
-        std::mutex merge_mutex;
-
-        const auto profile = sys_.launchKernel(
-            static_cast<unsigned>(blocks_.size()),
-            [&](unsigned dpu, std::vector<upmem::TaskletTrace> &tr) {
-                runOneDpu(dpu, x_dense, tr, result, retrieve_bytes,
-                          semiring_ops, merge_mutex);
+        const std::vector<Value> x_dense = x.toDense(S::zero());
+        return launchMxv<S>(
+            sys_, this->name(), blocks_, n_, load,
+            [&](unsigned dpu, std::vector<upmem::TaskletTrace> &tr,
+                DpuSlot<Value> &out) {
+                runOneDpu(dpu, x_dense, tr, out);
             },
-            {this->name(), [this] { return partitionShares(blocks_); }});
-        result.profile = profile;
-        result.times.kernel = sys_.kernelSeconds(profile);
-        result.semiringOps = semiring_ops;
-
-        result.times.retrieve = sys_.transfer().scatterGather(
-            retrieve_bytes, upmem::TransferDirection::DpuToHost);
-        // Disjoint row slices: no merging beyond the gather.
-        result.times.merge = sys_.host().mergeTime(16 * dpus_, 0);
-
-        for (const Value &v : result.y) {
-            if (!S::isZero(v))
-                ++result.outputNnz;
-        }
-        return result;
+            [this](Bytes, std::uint64_t) {
+                // Disjoint row slices: no merging beyond the gather.
+                return sys_.host().mergeTime(16 * dpus_, 0);
+            });
     }
 
     const char *
@@ -405,17 +355,11 @@ class SpmvRow1d : public PimMxvKernel<S>
     void
     runOneDpu(unsigned dpu, const std::vector<Value> &x_dense,
               std::vector<upmem::TaskletTrace> &traces,
-              MxvResult<Value> &result,
-              std::vector<Bytes> &retrieve_bytes,
-              std::uint64_t &semiring_ops,
-              std::mutex &merge_mutex) const
+              DpuSlot<Value> &dpu_out) const
     {
         const DeviceBlock &block = blocks_[dpu];
         const auto &cfg = sys_.config().dpu;
         const unsigned tasklets = cfg.tasklets;
-
-        std::vector<Value> partial(block.rows, S::zero());
-        std::uint64_t local_ops = 0;
 
         // Row ranges per entry (block is RowMajor-sorted).
         std::vector<std::size_t> row_start(block.rows + 1, 0);
@@ -474,12 +418,12 @@ class SpmvRow1d : public PimMxvKernel<S>
                     acc = S::add(
                         acc, S::mul(S::fromMatrix(block.values[e]),
                                     x_dense[col]));
-                    local_ops += 2;
                     ctx.op(S::mulOp(), kLanes);
                     ctx.op(S::addOp(), kLanes);
                     ctx.control(1);
                 }
-                partial[r] = acc;
+                if (!S::isZero(acc))
+                    dpu_out.outputs.emplace_back(block.rowBase + r, acc);
                 ctx.storeWram(1);
             }
             ctx.barrier(detail::kernelBarrier);
@@ -490,19 +434,9 @@ class SpmvRow1d : public PimMxvKernel<S>
             if (out.bytes > 0)
                 ctx.streamToMram(out.bytes, out.addr);
         }
-
-        {
-            telemetry::HostPhaseTimer host_timer(
-                telemetry::HostPhase::HostMerge);
-            std::lock_guard<std::mutex> lock(merge_mutex);
-            for (NodeId r = 0; r < block.rows; ++r) {
-                if (!S::isZero(partial[r]))
-                    result.y[block.rowBase + r] = partial[r];
-            }
-            retrieve_bytes[dpu] =
-                static_cast<Bytes>(block.rows) * sizeof(Value);
-            semiring_ops += local_ops;
-        }
+        dpu_out.semiringOps = 2 * block.nnz(); // one mul + one add each
+        dpu_out.retrieveBytes =
+            static_cast<Bytes>(block.rows) * sizeof(Value);
     }
 
     const upmem::UpmemSystem &sys_;
