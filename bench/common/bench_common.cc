@@ -331,10 +331,12 @@ RunRecorder::emit(const std::string &dataset,
         began_ = false;
         recording_.reset();
     } else {
+        perf::RecordBlocks blocks;
+        if (serve)
+            blocks.serve = *serve;
         line = perf::encodeRunRecord(
             manifest, key, static_cast<std::uint64_t>(iterations),
-            times, profile, nullptr, -1.0, nullptr, nullptr, nullptr,
-            serve);
+            times, profile, -1.0, blocks);
     }
     telemetry::appendJsonlRecord(opt_.jsonOut, line);
 }

@@ -4,10 +4,11 @@
  * itself: revolver-scheduler replay throughput on long Ops runs, on
  * SpMSpV-shaped short records with a WRAM or an MRAM accumulator, and
  * on traces captured from real CSC-2D and DCOO-2D launches; the host
- * merge fold; trace generation, partitioned-block construction, and
- * one full SpMSpV launch. These bound the wall-clock cost of the
- * figure benches; all report wall time, since a launch replays on
- * parallelFor worker threads.
+ * merge fold, the profile fold and the transfer model; trace
+ * generation, partitioned-block construction, and one full SpMSpV
+ * launch. These bound the wall-clock cost of the figure benches; all
+ * report wall time, since a launch replays on parallelFor worker
+ * threads.
  */
 
 #include <benchmark/benchmark.h>
@@ -18,7 +19,9 @@
 #include "common/random.hh"
 #include "core/kernels.hh"
 #include "sparse/generators.hh"
+#include "upmem/profile.hh"
 #include "upmem/scheduler.hh"
+#include "upmem/transfer_model.hh"
 
 using namespace alphapim;
 
@@ -205,6 +208,59 @@ BM_HostMerge(benchmark::State &state)
     state.SetLabel(dense ? "dense_ppr" : "road_traverse");
 }
 
+/**
+ * The serial profile fold alone (HostPhase::ProfileFold):
+ * LaunchProfile::add over one launch's per-DPU profiles, as
+ * launchKernel folds them after replay. The arg is the DPU count.
+ */
+void
+BM_ProfileFold(benchmark::State &state)
+{
+    Rng rng(5);
+    std::vector<upmem::DpuProfile> profiles(
+        static_cast<std::size_t>(state.range(0)));
+    for (upmem::DpuProfile &p : profiles) {
+        p.totalCycles = 20'000 + rng.nextBounded(60'000);
+        p.issuedCycles = p.totalCycles / 3;
+        for (auto &stall : p.stallCycles)
+            stall = p.totalCycles / 8;
+        for (auto &instr : p.instrByClass)
+            instr = rng.nextBounded(4'000);
+        p.activeThreadCycles = static_cast<double>(p.totalCycles) * 4.0;
+        p.mramReadBytes = rng.nextBounded(1 << 20);
+        p.mramWriteBytes = rng.nextBounded(1 << 18);
+    }
+    for (auto _ : state) {
+        upmem::LaunchProfile launch;
+        for (const upmem::DpuProfile &p : profiles)
+            launch.add(p);
+        benchmark::DoNotOptimize(launch);
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations() * profiles.size()));
+}
+
+/**
+ * The transfer cost model alone (HostPhase::TransferModel): one
+ * scatterGather over per-DPU byte counts, a fifth of them empty as
+ * on a sparse frontier. The arg is the DPU count.
+ */
+void
+BM_TransferModel(benchmark::State &state)
+{
+    Rng rng(6);
+    std::vector<Bytes> bytes(static_cast<std::size_t>(state.range(0)));
+    for (Bytes &b : bytes)
+        b = rng.nextBernoulli(0.2) ? 0 : 8 * (1 + rng.nextBounded(4'096));
+    const upmem::TransferModel model{upmem::TransferConfig{}};
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(model.scatterGather(
+            bytes, upmem::TransferDirection::HostToDpu));
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations() * bytes.size()));
+}
+
 void
 BM_SpmspvLaunch(benchmark::State &state)
 {
@@ -267,6 +323,8 @@ BENCHMARK(BM_SchedulerReplayDmaBound)->Arg(1 << 8)->Arg(1 << 11)
 BENCHMARK(BM_SchedulerReplayKernelTraces)->Arg(0)->Arg(1)->UseRealTime();
 // 0 = road_traverse-shaped slots, 1 = dense_ppr-shaped slots.
 BENCHMARK(BM_HostMerge)->Arg(0)->Arg(1)->UseRealTime();
+BENCHMARK(BM_ProfileFold)->Arg(256)->Arg(2048)->UseRealTime();
+BENCHMARK(BM_TransferModel)->Arg(256)->Arg(2048)->UseRealTime();
 BENCHMARK(BM_SpmspvLaunch)->Arg(5'000)->Arg(20'000)->UseRealTime();
 BENCHMARK(BM_GridPartitioning)->Arg(20'000)->UseRealTime();
 BENCHMARK(BM_DatasetGeneration)->Arg(50'000)->UseRealTime();

@@ -229,8 +229,7 @@ ImbalanceObserver::collectRun() const
     double total_bytes = 0.0;
     double memory_bound = 0.0;
     double clock = 0.0;
-    WeightedMean gini, cov, p99, nnz_gini, nnz_max, threads_cov,
-        stall_cov;
+    WeightedMean gini, cov, p99, nnz_gini, nnz_max;
     const LaunchImbalance *worst = nullptr;
     for (const auto &li : launches_) {
         // Weight each launch by its total DPU-cycles of work so big
@@ -249,8 +248,6 @@ ImbalanceObserver::collectRun() const
             nnz_gini.add(li.nnz.gini, work);
             nnz_max.add(li.nnz.maxOverMean(), work);
         }
-        threads_cov.add(li.activeThreads.cov, work);
-        stall_cov.add(li.memStallFraction.cov, work);
         if (li.roofline.memoryBound)
             memory_bound += 1.0;
         if (!worst ||
@@ -268,8 +265,6 @@ ImbalanceObserver::collectRun() const
     run.cyclesP99OverMean = p99.value();
     run.nnzGini = nnz_gini.value();
     run.nnzMaxOverMean = nnz_max.value();
-    run.activeThreadsCov = threads_cov.value();
-    run.memStallCov = stall_cov.value();
     if (worst) {
         run.stragglerKernel = worst->kernel;
         run.stragglerDpu = worst->stragglerDpu;

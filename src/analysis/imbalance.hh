@@ -32,6 +32,7 @@
 #define ALPHA_PIM_ANALYSIS_IMBALANCE_HH
 
 #include <cstddef>
+#include <cstdio>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -214,12 +215,6 @@ struct RunImbalance
     /** Cycle-weighted mean of per-launch nnz max/mean. */
     double nnzMaxOverMean = 0.0;
 
-    /** Cycle-weighted mean of per-launch active-thread CoV. */
-    double activeThreadsCov = 0.0;
-
-    /** Cycle-weighted mean of per-launch memory-stall-fraction CoV. */
-    double memStallCov = 0.0;
-
     /** Kernel of the worst launch (largest straggler factor). */
     std::string stragglerKernel;
 
@@ -248,6 +243,32 @@ struct RunImbalance
     /** Run-level roofline aggregate. */
     RunRoofline roofline;
 };
+
+/**
+ * The straggler as the reports print it: "DPU 37: 2.4x mean cycles,
+ * 71% memory-stall, holds 3.1x mean nnz", naming the stall and the
+ * nnz share only when known. For a LaunchImbalance or a RunImbalance.
+ */
+template <class Imbalance>
+std::string
+describeStraggler(const Imbalance &i)
+{
+    char buf[128];
+    std::snprintf(buf, sizeof(buf), "DPU %u: %.1fx mean cycles",
+                  i.stragglerDpu, i.stragglerCyclesOverMean);
+    std::string out = buf;
+    if (!i.stragglerStall.empty()) {
+        std::snprintf(buf, sizeof(buf), ", %.0f%% ",
+                      i.stragglerStallFraction * 100.0);
+        out += buf + i.stragglerStall + "-stall";
+    }
+    if (i.stragglerNnzOverMean > 0.0) {
+        std::snprintf(buf, sizeof(buf), ", holds %.1fx mean nnz",
+                      i.stragglerNnzOverMean);
+        out += buf;
+    }
+    return out;
+}
 
 /**
  * Fleet distribution analytics for one launch, pure function form

@@ -111,12 +111,12 @@ attributeRegression(const RunRecord &older, const RunRecord &newer)
         // Skew first, the most specific class: the straggler factor
         // grew and the perfectly-leveled bound did not -- the fleet
         // got slower because one DPU did, not because the work did.
-        if (older.hasImbalance && newer.hasImbalance &&
-            newer.imbalance.stragglerFactor >
-                older.imbalance.stragglerFactor * 1.05) {
+        if (older.imbalance && newer.imbalance &&
+            newer.imbalance->stragglerFactor >
+                older.imbalance->stragglerFactor * 1.05) {
             const double d_leveled =
-                newer.imbalance.leveledKernelSeconds -
-                older.imbalance.leveledKernelSeconds;
+                newer.imbalance->leveledKernelSeconds -
+                older.imbalance->leveledKernelSeconds;
             if (d_leveled < 0.5 * kernel_delta)
                 out.kind = Bottleneck::ImbalanceBound;
         }
@@ -176,7 +176,7 @@ attributeRegression(const RunRecord &older, const RunRecord &newer)
                 static_cast<unsigned long long>(newer.iterations)));
     }
     std::string transfer_detail;
-    if (older.hasXfer && newer.hasXfer) {
+    if (older.xfer && newer.xfer) {
         const struct
         {
             const char *name;
@@ -184,11 +184,11 @@ attributeRegression(const RunRecord &older, const RunRecord &newer)
             std::uint64_t oldv, newv;
         } volumes[] = {
             {"xfer.broadcast_bytes", "broadcast bytes",
-             older.xfer.broadcastBytes, newer.xfer.broadcastBytes},
+             older.xfer->broadcastBytes, newer.xfer->broadcastBytes},
             {"xfer.scatter_bytes", "scatter bytes",
-             older.xfer.scatterBytes, newer.xfer.scatterBytes},
+             older.xfer->scatterBytes, newer.xfer->scatterBytes},
             {"xfer.gather_bytes", "gather bytes",
-             older.xfer.gatherBytes, newer.xfer.gatherBytes},
+             older.xfer->gatherBytes, newer.xfer->gatherBytes},
         };
         double best_ratio = 1.0;
         for (const auto &v : volumes) {
@@ -208,38 +208,25 @@ attributeRegression(const RunRecord &older, const RunRecord &newer)
             }
         }
     }
-    if (older.hasTimeline && newer.hasTimeline) {
+    if (older.timeline && newer.timeline) {
         // Timeline context: how serialized the execution is and how
         // much of the critical path the transfers own.
         out.evidence.push_back(fmt(
             "overlap fraction %.2f -> %.2f; serialized transfers "
             "%.0f%% of the critical path",
-            older.timeline.overlapFraction,
-            newer.timeline.overlapFraction,
-            newer.timeline.transferCriticalFraction * 100.0));
+            older.timeline->overlapFraction,
+            newer.timeline->overlapFraction,
+            newer.timeline->transferCriticalFraction * 100.0));
     }
     std::string imbalance_detail;
-    if (older.hasImbalance && newer.hasImbalance) {
-        const auto &oi = older.imbalance;
-        const auto &ni = newer.imbalance;
+    if (older.imbalance && newer.imbalance) {
+        const auto &oi = *older.imbalance;
+        const auto &ni = *newer.imbalance;
         if (ni.stragglerFactor != oi.stragglerFactor) {
             imbalance_detail =
                 fmt("straggler factor %.2fx -> %.2fx",
                     oi.stragglerFactor, ni.stragglerFactor);
-            std::string straggler = fmt(
-                "DPU %llu: %.1fx mean cycles",
-                static_cast<unsigned long long>(ni.stragglerDpu),
-                ni.stragglerCyclesOverMean);
-            if (!ni.stragglerStall.empty()) {
-                straggler +=
-                    fmt(", %.0f%% %s-stall",
-                        ni.stragglerStallFraction * 100.0,
-                        ni.stragglerStall.c_str());
-            }
-            if (ni.stragglerNnzOverMean > 0.0) {
-                straggler += fmt(", holds %.1fx mean nnz",
-                                 ni.stragglerNnzOverMean);
-            }
+            std::string straggler = analysis::describeStraggler(ni);
             if (!ni.stragglerKernel.empty())
                 straggler += " (" + ni.stragglerKernel + ")";
             out.evidence.push_back(straggler);
@@ -257,63 +244,40 @@ attributeRegression(const RunRecord &older, const RunRecord &newer)
     // merge time; the host block says where the simulator itself
     // actually spent its wall clock.
     std::string host_detail;
-    if (older.hasHost && newer.hasHost &&
-        newer.host.totalSeconds > 0.0) {
-        const struct
-        {
-            const char *label;
-            double oldv, newv;
-        } host_phases[] = {
-            {"partition-build", older.host.partitionBuildSeconds,
-             newer.host.partitionBuildSeconds},
-            {"trace-record", older.host.traceRecordSeconds,
-             newer.host.traceRecordSeconds},
-            {"replay", older.host.replaySeconds,
-             newer.host.replaySeconds},
-            {"profile-fold", older.host.profileFoldSeconds,
-             newer.host.profileFoldSeconds},
-            {"transfer-model", older.host.transferModelSeconds,
-             newer.host.transferModelSeconds},
-            {"host-merge", older.host.hostMergeSeconds,
-             newer.host.hostMergeSeconds},
-            {"analysis", older.host.analysisSeconds,
-             newer.host.analysisSeconds},
-        };
-        const auto *dominant = &host_phases[0];
-        for (const auto &hp : host_phases)
-            if (hp.newv > dominant->newv)
-                dominant = &hp;
-        host_detail = fmt(
-            "%s %.0f%% of wall", dominant->label,
-            dominant->newv / newer.host.totalSeconds * 100.0);
-        if (older.host.replaySlotsPerSec > 0.0 &&
-            newer.host.replaySlotsPerSec > 0.0) {
-            host_detail +=
-                fmt(", throughput %.2fx",
-                    newer.host.replaySlotsPerSec /
-                        older.host.replaySlotsPerSec);
+    if (older.host && newer.host && newer.host->totalSeconds > 0.0) {
+        const telemetry::HostProfile &oh = *older.host;
+        const telemetry::HostProfile &nh = *newer.host;
+        unsigned dominant = 0;
+        for (unsigned p = 1; p < telemetry::kHostPhaseCount; ++p)
+            if (nh.phaseSeconds[p] > nh.phaseSeconds[dominant])
+                dominant = p;
+        // Display label: the phase name with dashes ("host-merge").
+        std::string label = telemetry::hostPhaseName(
+            static_cast<telemetry::HostPhase>(dominant));
+        std::replace(label.begin(), label.end(), '_', '-');
+        host_detail =
+            fmt("%s %.0f%% of wall", label.c_str(),
+                nh.phaseSeconds[dominant] / nh.totalSeconds * 100.0);
+        if (oh.replaySlotsPerSec > 0.0 && nh.replaySlotsPerSec > 0.0) {
+            host_detail += fmt(", throughput %.2fx",
+                               nh.replaySlotsPerSec /
+                                   oh.replaySlotsPerSec);
         }
-        if (newer.host.totalSeconds > older.host.totalSeconds) {
+        if (nh.totalSeconds > oh.totalSeconds) {
             out.evidence.push_back(fmt(
                 "host.total_seconds %s (%.3gs -> %.3gs), dominant "
                 "host phase %s (%.3gs -> %.3gs)",
-                pctChange(older.host.totalSeconds,
-                          newer.host.totalSeconds)
-                    .c_str(),
-                older.host.totalSeconds, newer.host.totalSeconds,
-                dominant->label, dominant->oldv, dominant->newv));
+                pctChange(oh.totalSeconds, nh.totalSeconds).c_str(),
+                oh.totalSeconds, nh.totalSeconds, label.c_str(),
+                oh.phaseSeconds[dominant], nh.phaseSeconds[dominant]));
         }
-        if (older.host.slowdownFactor > 0.0 &&
-            newer.host.slowdownFactor > 0.0 &&
-            newer.host.slowdownFactor !=
-                older.host.slowdownFactor) {
+        if (oh.slowdownFactor > 0.0 && nh.slowdownFactor > 0.0 &&
+            nh.slowdownFactor != oh.slowdownFactor) {
             out.evidence.push_back(
                 fmt("host.slowdown_factor %s (%.3g -> %.3g)",
-                    pctChange(older.host.slowdownFactor,
-                              newer.host.slowdownFactor)
+                    pctChange(oh.slowdownFactor, nh.slowdownFactor)
                         .c_str(),
-                    older.host.slowdownFactor,
-                    newer.host.slowdownFactor));
+                    oh.slowdownFactor, nh.slowdownFactor));
         }
     }
     std::string stall_detail;

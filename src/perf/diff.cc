@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <optional>
 
 #include "common/random.hh"
 #include "common/stats.hh"
@@ -70,12 +71,12 @@ mean(const std::vector<double> &xs)
 }
 
 /** Compare one deterministic (exactly reproducible) metric.
- * `higherIsBetter` inverts the regression direction for throughput
+ * Better::Higher inverts the regression direction for throughput
  * metrics (fewer queries per second is the regression). */
 MetricDelta
 deterministicDelta(const std::string &metric, double oldv,
                    double newv, const DiffOptions &opt,
-                   bool higherIsBetter = false)
+                   telemetry::Better better = telemetry::Better::Lower)
 {
     MetricDelta d;
     d.metric = metric;
@@ -85,7 +86,9 @@ deterministicDelta(const std::string &metric, double oldv,
                               : (newv - oldv) / oldv;
     const double scale =
         std::max({std::fabs(oldv), std::fabs(newv), 1.0});
-    const double worse = higherIsBetter ? -d.relChange : d.relChange;
+    const double worse = better == telemetry::Better::Higher
+        ? -d.relChange
+        : d.relChange;
     if (std::fabs(newv - oldv) <= opt.epsilon * scale)
         d.verdict = Verdict::Equal;
     else if (worse > opt.threshold)
@@ -95,6 +98,17 @@ deterministicDelta(const std::string &metric, double oldv,
     else
         d.verdict = Verdict::Drifted;
     return d;
+}
+
+/** Metric name of a list field: "<block>.<key>", or
+ * "<object>.<key>" for a field in a nested object
+ * ("roofline.op_intensity"). */
+template <class T>
+std::string
+metricName(const char *block, const telemetry::JsonField<T> &f)
+{
+    return std::string(f.object.empty() ? block : f.object) + "." +
+           f.key;
 }
 
 void
@@ -123,121 +137,24 @@ compareDeterministic(const RunRecord &o, const RunRecord &n,
         add("profile.max_cycles", static_cast<double>(o.maxCycles),
             static_cast<double>(n.maxCycles));
     }
-    if (o.hasXfer && n.hasXfer) {
-        add("xfer.scatter_bytes",
-            static_cast<double>(o.xfer.scatterBytes),
-            static_cast<double>(n.xfer.scatterBytes));
-        add("xfer.gather_bytes",
-            static_cast<double>(o.xfer.gatherBytes),
-            static_cast<double>(n.xfer.gatherBytes));
-        add("xfer.broadcast_bytes",
-            static_cast<double>(o.xfer.broadcastBytes),
-            static_cast<double>(n.xfer.broadcastBytes));
-    }
-    if (o.hasTimeline && n.hasTimeline) {
-        add("timeline.overlap_fraction",
-            o.timeline.overlapFraction, n.timeline.overlapFraction);
-        add("timeline.rank_occupancy_mean",
-            o.timeline.rankOccupancyMean,
-            n.timeline.rankOccupancyMean);
-        add("timeline.idle_fraction", o.timeline.idleFraction,
-            n.timeline.idleFraction);
-        add("timeline.transfer_critical_fraction",
-            o.timeline.transferCriticalFraction,
-            n.timeline.transferCriticalFraction);
-    }
-    if (o.hasImbalance && n.hasImbalance) {
-        add("imbalance.straggler_factor",
-            o.imbalance.stragglerFactor, n.imbalance.stragglerFactor);
-        add("imbalance.cycles_gini", o.imbalance.cyclesGini,
-            n.imbalance.cyclesGini);
-        add("imbalance.nnz_max_over_mean",
-            o.imbalance.nnzMaxOverMean, n.imbalance.nnzMaxOverMean);
-        add("roofline.op_intensity",
-            o.imbalance.rooflineOpIntensity,
-            n.imbalance.rooflineOpIntensity);
-    }
-    if (o.hasServe && n.hasServe) {
-        add("serve.submitted",
-            static_cast<double>(o.serve.submitted),
-            static_cast<double>(n.serve.submitted));
-        add("serve.admitted", static_cast<double>(o.serve.admitted),
-            static_cast<double>(n.serve.admitted));
-        add("serve.rejected", static_cast<double>(o.serve.rejected),
-            static_cast<double>(n.serve.rejected));
-        add("serve.completed",
-            static_cast<double>(o.serve.completed),
-            static_cast<double>(n.serve.completed));
-        add("serve.batches", static_cast<double>(o.serve.batches),
-            static_cast<double>(n.serve.batches));
-        add("serve.mean_batch_size", o.serve.meanBatchSize,
-            n.serve.meanBatchSize);
-        add("serve.latency_p50", o.serve.latencyP50,
-            n.serve.latencyP50);
-        add("serve.latency_p95", o.serve.latencyP95,
-            n.serve.latencyP95);
-        add("serve.latency_p99", o.serve.latencyP99,
-            n.serve.latencyP99);
-        add("serve.latency_p999", o.serve.latencyP999,
-            n.serve.latencyP999);
-        add("serve.latency_mean", o.serve.latencyMean,
-            n.serve.latencyMean);
-        add("serve.makespan_seconds", o.serve.makespanSeconds,
-            n.serve.makespanSeconds);
-        // Throughput regresses downward.
-        pair.metrics.push_back(deterministicDelta(
-            "serve.queries_per_sec", o.serve.queriesPerSec,
-            n.serve.queriesPerSec, opt, /*higherIsBetter=*/true));
-    }
-}
-
-void
-compareWallClock(const std::vector<const RunRecord *> &olds,
-                 const std::vector<const RunRecord *> &news,
-                 const DiffOptions &opt, PairDiff &pair)
-{
-    std::vector<double> old_wall;
-    std::vector<double> new_wall;
-    for (const RunRecord *r : olds)
-        if (r->wallSeconds >= 0.0)
-            old_wall.push_back(r->wallSeconds);
-    for (const RunRecord *r : news)
-        if (r->wallSeconds >= 0.0)
-            new_wall.push_back(r->wallSeconds);
-    if (old_wall.empty() || new_wall.empty())
-        return;
-    MetricDelta d;
-    d.metric = "wall_seconds";
-    d.noisy = true;
-    d.oldValue = mean(old_wall);
-    d.newValue = mean(new_wall);
-    d.relChange = d.oldValue == 0.0
-        ? 0.0
-        : (d.newValue - d.oldValue) / d.oldValue;
-    bootstrapMeanDiffCI(old_wall, new_wall, opt.confidence,
-                        opt.resamples, opt.bootstrapSeed, d.ciLow,
-                        d.ciHigh);
-    if (old_wall.size() < 2 || new_wall.size() < 2) {
-        // One sample per side: the bootstrap CI is degenerate, so
-        // no statistical claim -- report the values only.
-        d.verdict = Verdict::Equal;
-        pair.metrics.push_back(d);
-        return;
-    }
-    if (d.ciLow > 0.0 && d.relChange > opt.threshold)
-        d.verdict = Verdict::Regressed;
-    else if (d.ciHigh < 0.0 && d.relChange < -opt.threshold)
-        d.verdict = Verdict::Improved;
-    else if (d.ciLow > 0.0 || d.ciHigh < 0.0)
-        d.verdict = Verdict::Drifted;
-    else
-        d.verdict = Verdict::Equal;
-    pair.metrics.push_back(d);
+    forEachBlock([&](const char *name, auto member, auto fields) {
+        const auto &ob = o.*member;
+        const auto &nb = n.*member;
+        if (!ob || !nb)
+            return;
+        for (const auto &f : fields) {
+            if (f.compare != telemetry::Compare::Exact)
+                continue;
+            pair.metrics.push_back(deterministicDelta(
+                metricName(name, f), telemetry::numberValue(f.at(*ob)),
+                telemetry::numberValue(f.at(*nb)), opt, f.better));
+        }
+    });
 }
 
 /**
  * Compare one noisy (wall-clock-derived) metric via a seeded
- * bootstrap CI on the mean difference. `higherIsBetter` inverts the
+ * bootstrap CI on the mean difference. Better::Higher inverts the
  * regression direction for throughput metrics (fewer replayed slots
  * per second is the regression). Degenerate samples (one per side)
  * report the values with no statistical claim.
@@ -246,7 +163,7 @@ void
 addNoisyMetric(const std::string &metric,
                const std::vector<double> &old_xs,
                const std::vector<double> &new_xs,
-               bool higherIsBetter, const DiffOptions &opt,
+               telemetry::Better better, const DiffOptions &opt,
                PairDiff &pair)
 {
     if (old_xs.empty() || new_xs.empty())
@@ -267,6 +184,7 @@ addNoisyMetric(const std::string &metric,
         pair.metrics.push_back(d);
         return;
     }
+    const bool higherIsBetter = better == telemetry::Better::Higher;
     const double worse =
         higherIsBetter ? -d.relChange : d.relChange;
     const bool ci_above = d.ciLow > 0.0;
@@ -284,55 +202,45 @@ addNoisyMetric(const std::string &metric,
     pair.metrics.push_back(d);
 }
 
-/** Compare the host-observatory block: per-phase host seconds,
- * throughput, slowdown. Pools records sharing the run key like
- * wall-clock does; every metric is noisy. */
+/** Compare the noisy metrics -- the wall-clock duration, then every
+ * noisy list field (the host block's seconds, throughputs and
+ * slowdown) -- pooled over the records sharing the run key. */
 void
-compareHost(const std::vector<const RunRecord *> &olds,
-            const std::vector<const RunRecord *> &news,
-            const DiffOptions &opt, PairDiff &pair)
+compareNoisy(const std::vector<const RunRecord *> &olds,
+             const std::vector<const RunRecord *> &news,
+             const DiffOptions &opt, PairDiff &pair)
 {
-    struct HostMetric
-    {
-        const char *name;
-        double HostSummary::*field;
-        bool higherIsBetter;
+    // `sample` gives one record's value, or nullopt when it has none.
+    auto add = [&](const std::string &metric, telemetry::Better better,
+                   auto sample) {
+        auto samples = [&](const std::vector<const RunRecord *> &rs) {
+            std::vector<double> xs;
+            for (const RunRecord *r : rs)
+                if (const std::optional<double> x = sample(*r))
+                    xs.push_back(*x);
+            return xs;
+        };
+        addNoisyMetric(metric, samples(olds), samples(news), better, opt,
+                       pair);
     };
-    static const HostMetric kHostMetrics[] = {
-        {"host.total_seconds", &HostSummary::totalSeconds, false},
-        {"host.partition_build_seconds",
-         &HostSummary::partitionBuildSeconds, false},
-        {"host.trace_record_seconds",
-         &HostSummary::traceRecordSeconds, false},
-        {"host.replay_seconds", &HostSummary::replaySeconds, false},
-        {"host.profile_fold_seconds",
-         &HostSummary::profileFoldSeconds, false},
-        {"host.transfer_model_seconds",
-         &HostSummary::transferModelSeconds, false},
-        {"host.host_merge_seconds", &HostSummary::hostMergeSeconds,
-         false},
-        {"host.analysis_seconds", &HostSummary::analysisSeconds,
-         false},
-        {"host.replay_slots_per_sec",
-         &HostSummary::replaySlotsPerSec, true},
-        {"host.trace_records_per_sec",
-         &HostSummary::traceRecordsPerSec, true},
-        {"host.slowdown_factor", &HostSummary::slowdownFactor,
-         false},
-    };
-    auto samples = [](const std::vector<const RunRecord *> &rs,
-                      double HostSummary::*field) {
-        std::vector<double> xs;
-        for (const RunRecord *r : rs)
-            if (r->hasHost)
-                xs.push_back(r->host.*field);
-        return xs;
-    };
-    for (const HostMetric &hm : kHostMetrics) {
-        addNoisyMetric(hm.name, samples(olds, hm.field),
-                       samples(news, hm.field), hm.higherIsBetter,
-                       opt, pair);
-    }
+    add("wall_seconds", telemetry::Better::Lower,
+        [](const RunRecord &r) -> std::optional<double> {
+            if (r.wallSeconds < 0.0)
+                return std::nullopt;
+            return r.wallSeconds;
+        });
+    forEachBlock([&](const char *name, auto member, auto fields) {
+        for (const auto &f : fields) {
+            if (f.compare != telemetry::Compare::Noisy)
+                continue;
+            add(metricName(name, f), f.better,
+                [&](const RunRecord &r) -> std::optional<double> {
+                    if (const auto &block = r.*member)
+                        return telemetry::numberValue(f.at(*block));
+                    return std::nullopt;
+                });
+        }
+    });
 }
 
 /** Fold metric verdicts into the pair verdict. The gates are the
@@ -494,8 +402,7 @@ diffRecordSets(const RecordSet &olds, const RecordSet &news,
         const RunRecord &o = *old_list.front();
         const RunRecord &n = *it->second.front();
         compareDeterministic(o, n, opt, pair);
-        compareWallClock(old_list, it->second, opt, pair);
-        compareHost(old_list, it->second, opt, pair);
+        compareNoisy(old_list, it->second, opt, pair);
         pair.verdict = foldVerdict(pair, opt);
         if (pair.verdict == Verdict::Regressed)
             pair.attribution = attributeRegression(o, n);

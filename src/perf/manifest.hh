@@ -23,17 +23,14 @@
 namespace alphapim::perf
 {
 
-/** Schema tag of the current run-record format. PR 1's records
- * predate manifests and carry no tag; the differ treats an absent
- * tag as "alpha-pim-run-v1" and warns. v3 adds the optional
- * "timeline" block (occupancy, overlap, critical-path and what-if
- * summary); v4 adds the optional "imbalance" block (per-DPU skew,
- * straggler attribution, rebalance bound, roofline); v5 adds the
- * optional "host" block (per-phase simulator host seconds, memory
- * footprint, throughput and the simulation slowdown factor); v6 adds
- * the optional "serve" block (query serving: admission, batching,
- * model-time latency percentiles and throughput). v2 through v5
- * records still parse, just without the newer blocks. */
+/** Schema tag of the run-record format. The first records predate
+ * manifests and carry no tag; the differ warns when the two sides'
+ * tags differ. The optional blocks (xfer, timeline, imbalance, host,
+ * serve) are self-describing: a reader takes the keys it knows and a
+ * record without a block parses with the block absent, so adding a
+ * block or a key needs no new tag. Each block's fields are listed
+ * once: see forEachBlock() in record.hh, and kHostFields in
+ * telemetry/host_prof.hh for the host block. */
 inline constexpr const char *kRunSchema = "alpha-pim-run-v6";
 
 /** Provenance of one recorded run. */

@@ -34,15 +34,113 @@ RunKey::str() const
            std::to_string(dpus) + "dpus";
 }
 
+namespace
+{
+
+using telemetry::Better;
+using telemetry::field;
+using telemetry::FieldPtr;
+using telemetry::JsonField;
+using enum telemetry::Compare;
+
+using X = XferCounts;
+constexpr JsonField<XferCounts> kXfer[] = {
+    field<&X::scatters>("scatters"),
+    field<&X::scatterBytes>("scatter_bytes", Exact),
+    field<&X::gathers>("gathers"),
+    field<&X::gatherBytes>("gather_bytes", Exact),
+    field<&X::broadcasts>("broadcasts"),
+    field<&X::broadcastBytes>("broadcast_bytes", Exact),
+};
+
+using T = TimelineSummary;
+constexpr JsonField<TimelineSummary> kTimeline[] = {
+    field<&T::windowSeconds>("window_seconds"),
+    field<&T::launches>("launches"),
+    field<&T::ranks>("ranks"),
+    field<&T::overlapFraction>("overlap_fraction", Exact),
+    field<&T::rankOccupancyMean>("rank_occupancy_mean", Exact),
+    field<&T::rankOccupancyMin>("rank_occupancy_min"),
+    field<&T::dpuOccupancyMean>("dpu_occupancy_mean"),
+    field<&T::idleFraction>("idle_fraction", Exact),
+    field<&T::transferCriticalFraction>("transfer_critical_fraction",
+                                        Exact),
+    field<&T::whatifRankOverlapSpeedup>("whatif_rank_overlap_speedup"),
+    field<&T::whatifDoubleBufferSpeedup>(
+        "whatif_double_buffer_speedup"),
+    field<&T::whatifCombinedSpeedup>("whatif_combined_speedup"),
+};
+
+/** An imbalance entry that sits in the nested "roofline" object. */
+template <auto Member>
+constexpr JsonField<analysis::RunImbalance>
+roofline(const char *key, telemetry::Compare compare = None)
+{
+    return {key,
+            [](analysis::RunImbalance &s) -> FieldPtr {
+                return &(s.roofline.*Member);
+            },
+            compare, Better::Lower, "roofline"};
+}
+
+using I = analysis::RunImbalance;
+using R = analysis::RunRoofline;
+constexpr JsonField<analysis::RunImbalance> kImbalance[] = {
+    field<&I::launches>("launches"),
+    field<&I::stragglerFactor>("straggler_factor", Exact),
+    field<&I::cyclesGini>("cycles_gini", Exact),
+    field<&I::cyclesCov>("cycles_cov"),
+    field<&I::cyclesP99OverMean>("cycles_p99_over_mean"),
+    field<&I::nnzGini>("nnz_gini"),
+    field<&I::nnzMaxOverMean>("nnz_max_over_mean", Exact),
+    field<&I::stragglerKernel>("straggler_kernel"),
+    field<&I::stragglerDpu>("straggler_dpu"),
+    field<&I::stragglerCyclesOverMean>("straggler_cycles_over_mean"),
+    field<&I::stragglerStall>("straggler_stall"),
+    field<&I::stragglerStallFraction>("straggler_stall_fraction"),
+    field<&I::stragglerNnzOverMean>("straggler_nnz_over_mean"),
+    field<&I::kernelSeconds>("kernel_seconds"),
+    field<&I::leveledKernelSeconds>("leveled_kernel_seconds"),
+    roofline<&R::opIntensity>("op_intensity", Exact),
+    roofline<&R::achievedOpsPerSec>("achieved_ops_per_sec"),
+    roofline<&R::pipelineCeilingOpsPerSec>(
+        "pipeline_ceiling_ops_per_sec"),
+    roofline<&R::ridgeIntensity>("ridge_intensity"),
+    roofline<&R::memoryBoundFraction>("memory_bound_fraction"),
+};
+
+using S = ServeSummary;
+constexpr JsonField<ServeSummary> kServe[] = {
+    field<&S::submitted>("submitted", Exact),
+    field<&S::admitted>("admitted", Exact),
+    field<&S::rejected>("rejected", Exact),
+    field<&S::completed>("completed", Exact),
+    field<&S::batches>("batches", Exact),
+    field<&S::meanBatchSize>("mean_batch_size", Exact),
+    field<&S::maxBatchSize>("max_batch_size"),
+    field<&S::maxQueueDepth>("max_queue_depth"),
+    field<&S::latencyP50>("latency_p50", Exact),
+    field<&S::latencyP95>("latency_p95", Exact),
+    field<&S::latencyP99>("latency_p99", Exact),
+    field<&S::latencyP999>("latency_p999", Exact),
+    field<&S::latencyMean>("latency_mean", Exact),
+    field<&S::makespanSeconds>("makespan_seconds", Exact),
+    field<&S::queriesPerSec>("queries_per_sec", Exact, Better::Higher),
+};
+
+} // namespace
+
+const FieldList<XferCounts> kXferFields = kXfer;
+const FieldList<TimelineSummary> kTimelineFields = kTimeline;
+const FieldList<analysis::RunImbalance> kImbalanceFields = kImbalance;
+const FieldList<ServeSummary> kServeFields = kServe;
+
 std::string
 encodeRunRecord(const RunManifest &manifest, const RunKey &key,
                 std::uint64_t iterations,
                 const core::PhaseTimes &times,
                 const upmem::LaunchProfile *profile,
-                const XferCounts *xfer, double wallSeconds,
-                const TimelineSummary *timeline,
-                const ImbalanceSummary *imbalance,
-                const HostSummary *host, const ServeSummary *serve)
+                double wallSeconds, const RecordBlocks &blocks)
 {
     telemetry::JsonWriter w;
     w.beginObject();
@@ -61,121 +159,12 @@ encodeRunRecord(const RunManifest &manifest, const RunKey &key,
         w.key("profile");
         core::writeLaunchProfile(w, *profile);
     }
-    if (xfer) {
-        w.key("xfer").beginObject();
-        w.key("scatters").value(xfer->scatters);
-        w.key("scatter_bytes").value(xfer->scatterBytes);
-        w.key("gathers").value(xfer->gathers);
-        w.key("gather_bytes").value(xfer->gatherBytes);
-        w.key("broadcasts").value(xfer->broadcasts);
-        w.key("broadcast_bytes").value(xfer->broadcastBytes);
-        w.endObject();
-    }
-    if (timeline) {
-        w.key("timeline").beginObject();
-        w.key("window_seconds").value(timeline->windowSeconds);
-        w.key("launches").value(timeline->launches);
-        w.key("ranks").value(timeline->ranks);
-        w.key("rank_occupancy_mean")
-            .value(timeline->rankOccupancyMean);
-        w.key("rank_occupancy_min")
-            .value(timeline->rankOccupancyMin);
-        w.key("dpu_occupancy_mean")
-            .value(timeline->dpuOccupancyMean);
-        w.key("overlap_fraction").value(timeline->overlapFraction);
-        w.key("idle_fraction").value(timeline->idleFraction);
-        w.key("transfer_critical_fraction")
-            .value(timeline->transferCriticalFraction);
-        w.key("whatif_rank_overlap_speedup")
-            .value(timeline->whatifRankOverlapSpeedup);
-        w.key("whatif_double_buffer_speedup")
-            .value(timeline->whatifDoubleBufferSpeedup);
-        w.key("whatif_combined_speedup")
-            .value(timeline->whatifCombinedSpeedup);
-        w.endObject();
-    }
-    if (imbalance) {
-        w.key("imbalance").beginObject();
-        w.key("launches").value(imbalance->launches);
-        w.key("straggler_factor").value(imbalance->stragglerFactor);
-        w.key("cycles_gini").value(imbalance->cyclesGini);
-        w.key("cycles_cov").value(imbalance->cyclesCov);
-        w.key("cycles_p99_over_mean")
-            .value(imbalance->cyclesP99OverMean);
-        w.key("nnz_gini").value(imbalance->nnzGini);
-        w.key("nnz_max_over_mean").value(imbalance->nnzMaxOverMean);
-        w.key("straggler_kernel").value(imbalance->stragglerKernel);
-        w.key("straggler_dpu").value(imbalance->stragglerDpu);
-        w.key("straggler_cycles_over_mean")
-            .value(imbalance->stragglerCyclesOverMean);
-        w.key("straggler_stall").value(imbalance->stragglerStall);
-        w.key("straggler_stall_fraction")
-            .value(imbalance->stragglerStallFraction);
-        w.key("straggler_nnz_over_mean")
-            .value(imbalance->stragglerNnzOverMean);
-        w.key("kernel_seconds").value(imbalance->kernelSeconds);
-        w.key("leveled_kernel_seconds")
-            .value(imbalance->leveledKernelSeconds);
-        w.key("roofline").beginObject();
-        w.key("op_intensity").value(imbalance->rooflineOpIntensity);
-        w.key("achieved_ops_per_sec")
-            .value(imbalance->rooflineAchievedOpsPerSec);
-        w.key("pipeline_ceiling_ops_per_sec")
-            .value(imbalance->rooflinePipelineCeilingOpsPerSec);
-        w.key("ridge_intensity")
-            .value(imbalance->rooflineRidgeIntensity);
-        w.key("memory_bound_fraction")
-            .value(imbalance->rooflineMemoryBoundFraction);
-        w.endObject();
-        w.endObject();
-    }
-    if (host) {
-        w.key("host").beginObject();
-        w.key("total_seconds").value(host->totalSeconds);
-        w.key("partition_build_seconds")
-            .value(host->partitionBuildSeconds);
-        w.key("trace_record_seconds")
-            .value(host->traceRecordSeconds);
-        w.key("replay_seconds").value(host->replaySeconds);
-        w.key("profile_fold_seconds")
-            .value(host->profileFoldSeconds);
-        w.key("transfer_model_seconds")
-            .value(host->transferModelSeconds);
-        w.key("host_merge_seconds").value(host->hostMergeSeconds);
-        w.key("analysis_seconds").value(host->analysisSeconds);
-        w.key("replay_slots_per_sec")
-            .value(host->replaySlotsPerSec);
-        w.key("trace_records_per_sec")
-            .value(host->traceRecordsPerSec);
-        w.key("replay_slots").value(host->replaySlots);
-        w.key("trace_records").value(host->traceRecords);
-        w.key("slowdown_factor").value(host->slowdownFactor);
-        w.key("peak_rss_bytes").value(host->peakRssBytes);
-        w.key("tasklet_trace_bytes_peak")
-            .value(host->taskletTraceBytesPeak);
-        w.key("tracer_bytes").value(host->tracerBytes);
-        w.key("metrics_bytes").value(host->metricsBytes);
-        w.endObject();
-    }
-    if (serve) {
-        w.key("serve").beginObject();
-        w.key("submitted").value(serve->submitted);
-        w.key("admitted").value(serve->admitted);
-        w.key("rejected").value(serve->rejected);
-        w.key("completed").value(serve->completed);
-        w.key("batches").value(serve->batches);
-        w.key("mean_batch_size").value(serve->meanBatchSize);
-        w.key("max_batch_size").value(serve->maxBatchSize);
-        w.key("max_queue_depth").value(serve->maxQueueDepth);
-        w.key("latency_p50").value(serve->latencyP50);
-        w.key("latency_p95").value(serve->latencyP95);
-        w.key("latency_p99").value(serve->latencyP99);
-        w.key("latency_p999").value(serve->latencyP999);
-        w.key("latency_mean").value(serve->latencyMean);
-        w.key("queries_per_sec").value(serve->queriesPerSec);
-        w.key("makespan_seconds").value(serve->makespanSeconds);
-        w.endObject();
-    }
+    forEachBlock([&](const char *name, auto member, auto fields) {
+        if (const auto &block = blocks.*member) {
+            w.key(name);
+            telemetry::writeFields(w, *block, fields);
+        }
+    });
     w.endObject();
     return w.str();
 }
@@ -183,25 +172,18 @@ encodeRunRecord(const RunManifest &manifest, const RunKey &key,
 namespace
 {
 
-double
-numberField(const telemetry::JsonValue &obj, const char *key,
-            double fallback = 0.0)
+/** Read the unsigned field `key` of `obj` into `out`; false (with
+ * *error naming prefix + key) when its number does not fit. */
+bool
+uintField(const telemetry::JsonValue &obj, const std::string &key,
+          std::uint64_t &out, std::string *error,
+          const char *prefix = "")
 {
-    const auto *v = obj.find(key);
-    return v && v->isNumber() ? v->asNumber() : fallback;
-}
-
-std::uint64_t
-uintField(const telemetry::JsonValue &obj, const char *key)
-{
-    return static_cast<std::uint64_t>(numberField(obj, key));
-}
-
-std::string
-stringField(const telemetry::JsonValue &obj, const char *key)
-{
-    const auto *v = obj.find(key);
-    return v && v->isString() ? v->asString() : std::string();
+    if (telemetry::readValue(obj.find(key), &out, key, error))
+        return true;
+    if (error)
+        *error = prefix + *error;
+    return false;
 }
 
 } // namespace
@@ -234,28 +216,35 @@ parseRunRecord(const std::string &line, RunRecord &out,
     out.key.bench = bench->asString();
     out.key.dataset = dataset->asString();
     out.key.variant = variant->asString();
-    out.key.dpus = uintField(doc, "dpus");
-    out.key.seed = uintField(doc, "seed");
-    out.iterations = uintField(doc, "iterations");
-    out.wallSeconds = numberField(doc, "wall_seconds", -1.0);
+    if (!uintField(doc, "dpus", out.key.dpus, error) ||
+        !uintField(doc, "seed", out.key.seed, error) ||
+        !uintField(doc, "iterations", out.iterations, error))
+        return false;
+    if (const auto *wall = doc.find("wall_seconds");
+        wall && wall->isNumber())
+        out.wallSeconds = wall->asNumber();
 
     if (const auto *times = doc.find("times");
         times && times->isObject()) {
-        out.times.load = numberField(*times, "load");
-        out.times.kernel = numberField(*times, "kernel");
-        out.times.retrieve = numberField(*times, "retrieve");
-        out.times.merge = numberField(*times, "merge");
+        out.times.load = times->number("load");
+        out.times.kernel = times->number("kernel");
+        out.times.retrieve = times->number("retrieve");
+        out.times.merge = times->number("merge");
     }
 
     if (const auto *p = doc.find("profile"); p && p->isObject()) {
         out.hasProfile = true;
-        out.totalCycles = uintField(*p, "total_cycles");
-        out.issuedCycles = uintField(*p, "issued_cycles");
-        out.maxCycles = uintField(*p, "max_cycles");
-        out.activeDpus = uintField(*p, "active_dpus");
-        out.issuedFraction = numberField(*p, "issued_fraction");
-        out.avgActiveThreads =
-            numberField(*p, "avg_active_threads");
+        if (!uintField(*p, "total_cycles", out.totalCycles, error,
+                       "profile.") ||
+            !uintField(*p, "issued_cycles", out.issuedCycles, error,
+                       "profile.") ||
+            !uintField(*p, "max_cycles", out.maxCycles, error,
+                       "profile.") ||
+            !uintField(*p, "active_dpus", out.activeDpus, error,
+                       "profile."))
+            return false;
+        out.issuedFraction = p->number("issued_fraction");
+        out.avgActiveThreads = p->number("avg_active_threads");
         if (const auto *sf = p->find("stall_fractions");
             sf && sf->isObject()) {
             for (const auto &[name, v] : sf->members())
@@ -263,136 +252,42 @@ parseRunRecord(const std::string &line, RunRecord &out,
         }
         if (const auto *mix = p->find("instr_by_category");
             mix && mix->isObject()) {
-            for (const auto &[name, v] : mix->members())
-                out.instrByCategory[name] =
-                    static_cast<std::uint64_t>(v.asNumber());
+            for (const auto &[name, v] : mix->members()) {
+                if (!uintField(*mix, name, out.instrByCategory[name],
+                               error, "profile.instr_by_category."))
+                    return false;
+            }
         }
     }
 
-    if (const auto *t = doc.find("timeline"); t && t->isObject()) {
-        out.hasTimeline = true;
-        out.timeline.windowSeconds =
-            numberField(*t, "window_seconds");
-        out.timeline.launches = uintField(*t, "launches");
-        out.timeline.ranks = uintField(*t, "ranks");
-        out.timeline.rankOccupancyMean =
-            numberField(*t, "rank_occupancy_mean");
-        out.timeline.rankOccupancyMin =
-            numberField(*t, "rank_occupancy_min");
-        out.timeline.dpuOccupancyMean =
-            numberField(*t, "dpu_occupancy_mean");
-        out.timeline.overlapFraction =
-            numberField(*t, "overlap_fraction");
-        out.timeline.idleFraction =
-            numberField(*t, "idle_fraction");
-        out.timeline.transferCriticalFraction =
-            numberField(*t, "transfer_critical_fraction");
-        out.timeline.whatifRankOverlapSpeedup =
-            numberField(*t, "whatif_rank_overlap_speedup", 1.0);
-        out.timeline.whatifDoubleBufferSpeedup =
-            numberField(*t, "whatif_double_buffer_speedup", 1.0);
-        out.timeline.whatifCombinedSpeedup =
-            numberField(*t, "whatif_combined_speedup", 1.0);
-    }
-
-    if (const auto *i = doc.find("imbalance"); i && i->isObject()) {
-        out.hasImbalance = true;
-        auto &s = out.imbalance;
-        s.launches = uintField(*i, "launches");
-        s.stragglerFactor = numberField(*i, "straggler_factor", 1.0);
-        s.cyclesGini = numberField(*i, "cycles_gini");
-        s.cyclesCov = numberField(*i, "cycles_cov");
-        s.cyclesP99OverMean =
-            numberField(*i, "cycles_p99_over_mean", 1.0);
-        s.nnzGini = numberField(*i, "nnz_gini");
-        s.nnzMaxOverMean = numberField(*i, "nnz_max_over_mean", 1.0);
-        s.stragglerKernel = stringField(*i, "straggler_kernel");
-        s.stragglerDpu = uintField(*i, "straggler_dpu");
-        s.stragglerCyclesOverMean =
-            numberField(*i, "straggler_cycles_over_mean", 1.0);
-        s.stragglerStall = stringField(*i, "straggler_stall");
-        s.stragglerStallFraction =
-            numberField(*i, "straggler_stall_fraction");
-        s.stragglerNnzOverMean =
-            numberField(*i, "straggler_nnz_over_mean");
-        s.kernelSeconds = numberField(*i, "kernel_seconds");
-        s.leveledKernelSeconds =
-            numberField(*i, "leveled_kernel_seconds");
-        if (const auto *r = i->find("roofline");
-            r && r->isObject()) {
-            s.rooflineOpIntensity = numberField(*r, "op_intensity");
-            s.rooflineAchievedOpsPerSec =
-                numberField(*r, "achieved_ops_per_sec");
-            s.rooflinePipelineCeilingOpsPerSec =
-                numberField(*r, "pipeline_ceiling_ops_per_sec");
-            s.rooflineRidgeIntensity =
-                numberField(*r, "ridge_intensity");
-            s.rooflineMemoryBoundFraction =
-                numberField(*r, "memory_bound_fraction");
+    bool ok = true;
+    forEachBlock([&](const char *name, auto member, auto fields) {
+        const auto *obj = doc.find(name);
+        if (!ok || !obj || !obj->isObject())
+            return;
+        std::string field_error;
+        if (!telemetry::readFields(*obj, (out.*member).emplace(),
+                                   fields, &field_error)) {
+            ok = false;
+            if (error)
+                *error = std::string(name) + "." + field_error;
         }
-    }
-
-    if (const auto *h = doc.find("host"); h && h->isObject()) {
-        out.hasHost = true;
-        auto &s = out.host;
-        s.totalSeconds = numberField(*h, "total_seconds");
-        s.partitionBuildSeconds =
-            numberField(*h, "partition_build_seconds");
-        s.traceRecordSeconds =
-            numberField(*h, "trace_record_seconds");
-        s.replaySeconds = numberField(*h, "replay_seconds");
-        s.profileFoldSeconds =
-            numberField(*h, "profile_fold_seconds");
-        s.transferModelSeconds =
-            numberField(*h, "transfer_model_seconds");
-        s.hostMergeSeconds = numberField(*h, "host_merge_seconds");
-        s.analysisSeconds = numberField(*h, "analysis_seconds");
-        s.replaySlotsPerSec =
-            numberField(*h, "replay_slots_per_sec");
-        s.traceRecordsPerSec =
-            numberField(*h, "trace_records_per_sec");
-        s.replaySlots = uintField(*h, "replay_slots");
-        s.traceRecords = uintField(*h, "trace_records");
-        s.slowdownFactor = numberField(*h, "slowdown_factor");
-        s.peakRssBytes = uintField(*h, "peak_rss_bytes");
-        s.taskletTraceBytesPeak =
-            uintField(*h, "tasklet_trace_bytes_peak");
-        s.tracerBytes = uintField(*h, "tracer_bytes");
-        s.metricsBytes = uintField(*h, "metrics_bytes");
-    }
-
-    if (const auto *sv = doc.find("serve"); sv && sv->isObject()) {
-        out.hasServe = true;
-        auto &s = out.serve;
-        s.submitted = uintField(*sv, "submitted");
-        s.admitted = uintField(*sv, "admitted");
-        s.rejected = uintField(*sv, "rejected");
-        s.completed = uintField(*sv, "completed");
-        s.batches = uintField(*sv, "batches");
-        s.meanBatchSize = numberField(*sv, "mean_batch_size");
-        s.maxBatchSize = uintField(*sv, "max_batch_size");
-        s.maxQueueDepth = uintField(*sv, "max_queue_depth");
-        s.latencyP50 = numberField(*sv, "latency_p50");
-        s.latencyP95 = numberField(*sv, "latency_p95");
-        s.latencyP99 = numberField(*sv, "latency_p99");
-        s.latencyP999 = numberField(*sv, "latency_p999");
-        s.latencyMean = numberField(*sv, "latency_mean");
-        s.queriesPerSec = numberField(*sv, "queries_per_sec");
-        s.makespanSeconds = numberField(*sv, "makespan_seconds");
-    }
-
-    if (const auto *x = doc.find("xfer"); x && x->isObject()) {
-        out.hasXfer = true;
-        out.xfer.scatters = uintField(*x, "scatters");
-        out.xfer.scatterBytes = uintField(*x, "scatter_bytes");
-        out.xfer.gathers = uintField(*x, "gathers");
-        out.xfer.gatherBytes = uintField(*x, "gather_bytes");
-        out.xfer.broadcasts = uintField(*x, "broadcasts");
-        out.xfer.broadcastBytes = uintField(*x, "broadcast_bytes");
-    }
-    return true;
+    });
+    return ok;
 }
 
+namespace
+{
+
+constexpr const char *kXferCounters[6] = {
+    "xfer.scatters",   "xfer.scatter_bytes",
+    "xfer.gathers",    "xfer.gather_bytes",
+    "xfer.broadcasts", "xfer.broadcast_bytes",
+};
+
+/** Condense a reconstructed timeline (and its computed stats) into
+ * the record-level summary: occupancy/overlap plus the critical-path
+ * transfer fraction and what-if speedup bounds. */
 TimelineSummary
 summarizeTimeline(const telemetry::Timeline &timeline,
                   const telemetry::TimelineStats &stats)
@@ -420,71 +315,6 @@ summarizeTimeline(const telemetry::Timeline &timeline,
     s.whatifCombinedSpeedup = whatif.combinedSpeedup();
     return s;
 }
-
-ImbalanceSummary
-summarizeImbalance(const analysis::RunImbalance &run)
-{
-    ImbalanceSummary s;
-    s.launches = static_cast<std::uint64_t>(run.launches);
-    s.stragglerFactor = run.stragglerFactor;
-    s.cyclesGini = run.cyclesGini;
-    s.cyclesCov = run.cyclesCov;
-    s.cyclesP99OverMean = run.cyclesP99OverMean;
-    s.nnzGini = run.nnzGini;
-    s.nnzMaxOverMean = run.nnzMaxOverMean;
-    s.stragglerKernel = run.stragglerKernel;
-    s.stragglerDpu = run.stragglerDpu;
-    s.stragglerCyclesOverMean = run.stragglerCyclesOverMean;
-    s.stragglerStall = run.stragglerStall;
-    s.stragglerStallFraction = run.stragglerStallFraction;
-    s.stragglerNnzOverMean = run.stragglerNnzOverMean;
-    s.kernelSeconds = run.kernelSeconds;
-    s.leveledKernelSeconds = run.leveledKernelSeconds;
-    s.rooflineOpIntensity = run.roofline.opIntensity;
-    s.rooflineAchievedOpsPerSec = run.roofline.achievedOpsPerSec;
-    s.rooflinePipelineCeilingOpsPerSec =
-        run.roofline.pipelineCeilingOpsPerSec;
-    s.rooflineRidgeIntensity = run.roofline.ridgeIntensity;
-    s.rooflineMemoryBoundFraction = run.roofline.memoryBoundFraction;
-    return s;
-}
-
-HostSummary
-summarizeHost(const telemetry::HostProfile &profile)
-{
-    using telemetry::HostPhase;
-    const auto phase = [&](HostPhase p) {
-        return profile.phaseSeconds[static_cast<unsigned>(p)];
-    };
-    HostSummary s;
-    s.totalSeconds = profile.totalSeconds;
-    s.partitionBuildSeconds = phase(HostPhase::PartitionBuild);
-    s.traceRecordSeconds = phase(HostPhase::TraceRecord);
-    s.replaySeconds = phase(HostPhase::Replay);
-    s.profileFoldSeconds = phase(HostPhase::ProfileFold);
-    s.transferModelSeconds = phase(HostPhase::TransferModel);
-    s.hostMergeSeconds = phase(HostPhase::HostMerge);
-    s.analysisSeconds = phase(HostPhase::Analysis);
-    s.replaySlotsPerSec = profile.replaySlotsPerSec;
-    s.traceRecordsPerSec = profile.traceRecordsPerSec;
-    s.replaySlots = profile.replaySlots;
-    s.traceRecords = profile.traceRecords;
-    s.slowdownFactor = profile.slowdownFactor;
-    s.peakRssBytes = profile.peakRssBytes;
-    s.taskletTraceBytesPeak = profile.taskletTraceBytesPeak;
-    s.tracerBytes = profile.tracerBytes;
-    s.metricsBytes = profile.metricsBytes;
-    return s;
-}
-
-namespace
-{
-
-constexpr const char *kXferCounters[6] = {
-    "xfer.scatters",   "xfer.scatter_bytes",
-    "xfer.gathers",    "xfer.gather_bytes",
-    "xfer.broadcasts", "xfer.broadcast_bytes",
-};
 
 double
 steadySeconds()
@@ -521,15 +351,14 @@ encodeRunWindow(const RunWindow &window, const RunManifest &manifest,
                 const analysis::ImbalanceObserver *imbalance,
                 const ServeSummary *serve)
 {
+    RecordBlocks blocks;
     std::uint64_t delta[6];
     for (std::size_t i = 0; i < 6; ++i)
         delta[i] = telemetry::metrics().counterValue(kXferCounters[i]) -
                    window.xferStart[i];
-    const XferCounts xfer{delta[0], delta[1], delta[2],
-                          delta[3], delta[4], delta[5]};
+    blocks.xfer = XferCounts{delta[0], delta[1], delta[2],
+                             delta[3], delta[4], delta[5]};
 
-    TimelineSummary timeline;
-    const TimelineSummary *timeline_ptr = nullptr;
     const std::vector<telemetry::TraceEvent> events =
         telemetry::tracer().eventsSince(window.traceStart);
     if (!events.empty()) {
@@ -539,35 +368,27 @@ encodeRunWindow(const RunWindow &window, const RunManifest &manifest,
                 telemetry::computeStats(tl);
             telemetry::recordTimelineMetrics(stats,
                                              telemetry::metrics());
-            timeline = summarizeTimeline(tl, stats);
-            timeline_ptr = &timeline;
+            blocks.timeline = summarizeTimeline(tl, stats);
         }
     }
 
-    ImbalanceSummary imbalance_summary;
-    const ImbalanceSummary *imbalance_ptr = nullptr;
     if (imbalance) {
-        const analysis::RunImbalance run = imbalance->collectRun();
-        if (run.launches > 0) {
-            imbalance_summary = summarizeImbalance(run);
-            imbalance_ptr = &imbalance_summary;
-        }
+        analysis::RunImbalance run = imbalance->collectRun();
+        if (run.launches > 0)
+            blocks.imbalance = std::move(run);
     }
 
     const double wall = steadySeconds() - window.wallStart;
-    HostSummary host;
-    const HostSummary *host_ptr = nullptr;
     if (telemetry::hostProfiler().enabled()) {
         // Publishes host.* metrics and the "host_profile" trace
         // event as a side effect, so --metrics-out/--trace-out
         // carry the same observatory data as the record.
-        host = summarizeHost(
-            telemetry::publishHostProfile(times.total()));
-        host_ptr = &host;
+        blocks.host = telemetry::publishHostProfile(times.total());
     }
+    if (serve)
+        blocks.serve = *serve;
     return encodeRunRecord(manifest, key, iterations, times, profile,
-                           &xfer, wall, timeline_ptr, imbalance_ptr,
-                           host_ptr, serve);
+                           wall, blocks);
 }
 
 bool

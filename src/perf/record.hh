@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "core/phase_times.hh"
 #include "perf/manifest.hh"
 #include "telemetry/host_prof.hh"
+#include "telemetry/json.hh"
 #include "telemetry/timeline.hh"
 #include "upmem/profile.hh"
 
@@ -44,9 +46,9 @@ struct RunKey
     std::string str() const;
 };
 
-/** Execution-timeline summary of one run (schema v3): occupancy and
- * overlap from the reconstructed span timeline, critical-path
- * composition, and the what-if overlap bounds. */
+/** Execution-timeline summary of one run: occupancy and overlap
+ * from the reconstructed span timeline, critical-path composition,
+ * and the what-if overlap bounds. */
 struct TimelineSummary
 {
     double windowSeconds = 0.0;
@@ -67,85 +69,11 @@ struct TimelineSummary
     double whatifCombinedSpeedup = 1.0;
 };
 
-/** Load-imbalance & roofline summary of one run (schema v4): fleet
- * skew statistics over per-DPU cycles and partition shares, the
- * worst launch's straggler attribution, the Amdahl-style rebalance
- * bound, and the run's roofline position. */
-struct ImbalanceSummary
-{
-    std::uint64_t launches = 0;
-
-    /** Summed critical-DPU cycles over summed mean cycles. */
-    double stragglerFactor = 1.0;
-    double cyclesGini = 0.0;
-    double cyclesCov = 0.0;
-    double cyclesP99OverMean = 0.0;
-    double nnzGini = 0.0;
-    double nnzMaxOverMean = 0.0;
-
-    /** Worst launch's straggler: kernel, DPU, excess and its
-     * attribution to a stall reason and partition share. */
-    std::string stragglerKernel;
-    std::uint64_t stragglerDpu = 0;
-    double stragglerCyclesOverMean = 1.0;
-    std::string stragglerStall;
-    double stragglerStallFraction = 0.0;
-    double stragglerNnzOverMean = 0.0;
-
-    /** Modeled kernel wall time vs the perfectly-leveled bound. */
-    double kernelSeconds = 0.0;
-    double leveledKernelSeconds = 0.0;
-
-    /** Run roofline: intensity, achieved vs ceiling, classification. */
-    double rooflineOpIntensity = 0.0;
-    double rooflineAchievedOpsPerSec = 0.0;
-    double rooflinePipelineCeilingOpsPerSec = 0.0;
-    double rooflineRidgeIntensity = 0.0;
-    double rooflineMemoryBoundFraction = 0.0;
-};
-
-/** Host-performance summary of one run (schema v5): where the
- * simulator's own wall seconds and bytes went. Every field is
- * wall-clock derived and therefore noisy -- the differ never
- * exact-compares this block; it uses bootstrap CIs like
- * wall_seconds. */
-struct HostSummary
-{
-    /** Sum of the per-phase self seconds below. */
-    double totalSeconds = 0.0;
-
-    // Per-phase self wall seconds (see telemetry::HostPhase).
-    double partitionBuildSeconds = 0.0;
-    double traceRecordSeconds = 0.0;
-    double replaySeconds = 0.0;
-    double profileFoldSeconds = 0.0;
-    double transferModelSeconds = 0.0;
-    double hostMergeSeconds = 0.0;
-    double analysisSeconds = 0.0;
-
-    /** Throughput: replayed instruction slots per replay second and
-     * generated trace records per trace-record second. */
-    double replaySlotsPerSec = 0.0;
-    double traceRecordsPerSec = 0.0;
-    std::uint64_t replaySlots = 0;
-    std::uint64_t traceRecords = 0;
-
-    /** Host seconds per modeled second (the simulation slowdown). */
-    double slowdownFactor = 0.0;
-
-    /** Memory footprint: peak RSS, live TaskletTrace high-water,
-     * tracer and metrics buffer bytes at record time. */
-    std::uint64_t peakRssBytes = 0;
-    std::uint64_t taskletTraceBytesPeak = 0;
-    std::uint64_t tracerBytes = 0;
-    std::uint64_t metricsBytes = 0;
-};
-
-/** Query-serving summary of one run (schema v6): admission and
- * batching outcomes plus the model-time latency distribution of the
- * serving subsystem (src/serve/). Every field derives from the
- * deterministic model clock, so the differ exact-compares the whole
- * block and gates p95 latency and throughput regressions. */
+/** Query-serving summary of one run: admission and batching outcomes
+ * plus the model-time latency distribution of the serving subsystem
+ * (src/serve/). Every field derives from the deterministic model
+ * clock, so the differ exact-compares the block and gates p95
+ * latency and throughput regressions. */
 struct ServeSummary
 {
     std::uint64_t submitted = 0;
@@ -182,8 +110,21 @@ struct XferCounts
     std::uint64_t broadcastBytes = 0;
 };
 
+/** The optional blocks of a run record. Each is absent unless the
+ * run produced it; records written before a block existed parse
+ * without it. The host block is the profiler's own snapshot and the
+ * imbalance block the observer's own run aggregate. */
+struct RecordBlocks
+{
+    std::optional<XferCounts> xfer;
+    std::optional<TimelineSummary> timeline;
+    std::optional<analysis::RunImbalance> imbalance;
+    std::optional<telemetry::HostProfile> host;
+    std::optional<ServeSummary> serve;
+};
+
 /** One parsed run record. */
-struct RunRecord
+struct RunRecord : RecordBlocks
 {
     RunManifest manifest;
     RunKey key;
@@ -204,32 +145,33 @@ struct RunRecord
     double avgActiveThreads = 0.0;
     std::map<std::string, double> stallFractions;
     std::map<std::string, std::uint64_t> instrByCategory;
-
-    // ---- transfer volume (absent unless hasXfer) ----
-    bool hasXfer = false;
-    XferCounts xfer;
-
-    // ---- execution timeline (absent unless hasTimeline; schema v3
-    // records only -- v2 and older parse with hasTimeline false) ----
-    bool hasTimeline = false;
-    TimelineSummary timeline;
-
-    // ---- load imbalance & roofline (absent unless hasImbalance;
-    // schema v4 records only -- older schemas parse with
-    // hasImbalance false) ----
-    bool hasImbalance = false;
-    ImbalanceSummary imbalance;
-
-    // ---- host-performance profile (absent unless hasHost; schema
-    // v5 records only -- older schemas parse with hasHost false) ----
-    bool hasHost = false;
-    HostSummary host;
-
-    // ---- query-serving summary (absent unless hasServe; schema v6
-    // records only -- older schemas parse with hasServe false) ----
-    bool hasServe = false;
-    ServeSummary serve;
 };
+
+/** Field lists of the blocks perf owns; the host block's list is
+ * telemetry::kHostFields. */
+using telemetry::FieldList;
+extern const FieldList<XferCounts> kXferFields;
+extern const FieldList<TimelineSummary> kTimelineFields;
+extern const FieldList<analysis::RunImbalance> kImbalanceFields;
+extern const FieldList<ServeSummary> kServeFields;
+
+/**
+ * Visit every optional block in record order as
+ * visit(key, member, fields): its JSON key, the RecordBlocks member
+ * holding it, and its field list. The encoder, the parser and the
+ * differ walk the blocks through this, so a new block is one line
+ * here plus its list, with no new schema tag.
+ */
+template <class Visit>
+void
+forEachBlock(Visit &&visit)
+{
+    visit("xfer", &RecordBlocks::xfer, kXferFields);
+    visit("timeline", &RecordBlocks::timeline, kTimelineFields);
+    visit("imbalance", &RecordBlocks::imbalance, kImbalanceFields);
+    visit("host", &RecordBlocks::host, telemetry::kHostFields);
+    visit("serve", &RecordBlocks::serve, kServeFields);
+}
 
 /**
  * Encode one run record as a compact JSON object (one JSONL line,
@@ -240,42 +182,22 @@ struct RunRecord
  * @param iterations iteration count (0 = n/a)
  * @param times      model-time phase breakdown
  * @param profile    DPU profile, or nullptr
- * @param xfer       per-run transfer deltas, or nullptr
  * @param wallSeconds host wall-clock duration; < 0 omits the field
- * @param timeline   execution-timeline summary, or nullptr
- * @param imbalance  load-imbalance & roofline summary, or nullptr
- * @param host       host-performance profile summary, or nullptr
- * @param serve      query-serving summary, or nullptr
+ * @param blocks     the optional blocks the run produced
  */
 std::string encodeRunRecord(const RunManifest &manifest,
                             const RunKey &key,
                             std::uint64_t iterations,
                             const core::PhaseTimes &times,
                             const upmem::LaunchProfile *profile,
-                            const XferCounts *xfer,
                             double wallSeconds,
-                            const TimelineSummary *timeline = nullptr,
-                            const ImbalanceSummary *imbalance = nullptr,
-                            const HostSummary *host = nullptr,
-                            const ServeSummary *serve = nullptr);
+                            const RecordBlocks &blocks = {});
 
 /** Parse one record line. Returns false (with *error set) on
- * malformed JSON or missing identity fields. */
+ * malformed JSON, missing identity fields, or an unsigned field
+ * whose number does not fit. */
 bool parseRunRecord(const std::string &line, RunRecord &out,
                     std::string *error);
-
-/** Condense a reconstructed timeline (and its computed stats) into
- * the record-level summary: occupancy/overlap plus the critical-path
- * transfer fraction and what-if speedup bounds. */
-TimelineSummary summarizeTimeline(const telemetry::Timeline &timeline,
-                                  const telemetry::TimelineStats &stats);
-
-/** Condense the imbalance observer's run aggregate into the
- * record-level summary. */
-ImbalanceSummary summarizeImbalance(const analysis::RunImbalance &run);
-
-/** Condense a host-profiler snapshot into the record-level summary. */
-HostSummary summarizeHost(const telemetry::HostProfile &profile);
 
 /** Where a measured region began: the process-wide counters and
  * positions the region's record is taken relative to. */

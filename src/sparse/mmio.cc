@@ -58,6 +58,10 @@ readMatrixMarket(std::istream &in)
     size_line >> rows >> cols >> entries;
     if (rows == 0 || cols == 0)
         fatal("bad matrix market size line");
+    if (rows >= invalidNode || cols >= invalidNode)
+        fatal("matrix market size %llu x %llu exceeds the %u-node limit",
+              static_cast<unsigned long long>(rows),
+              static_cast<unsigned long long>(cols), invalidNode - 1);
 
     CooMatrix<float> coo(static_cast<NodeId>(rows),
                          static_cast<NodeId>(cols));

@@ -1,5 +1,6 @@
 #include "telemetry/host_prof.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <cstring>
@@ -140,12 +141,8 @@ HostProfiler::snapshot(double modelSeconds) const
 {
     HostProfile prof;
     for (unsigned p = 0; p < kHostPhaseCount; ++p) {
-        prof.phaseSeconds[p] =
-            static_cast<double>(
-                phaseNanos_[p].load(std::memory_order_relaxed)) *
-            1e-9;
-        prof.phaseCalls[p] =
-            phaseCalls_[p].load(std::memory_order_relaxed);
+        prof.phaseSeconds[p] = phaseSeconds(static_cast<HostPhase>(p));
+        prof.phaseCalls[p] = phaseCalls(static_cast<HostPhase>(p));
         prof.totalSeconds += prof.phaseSeconds[p];
     }
     prof.replaySlots = replaySlots_.load(std::memory_order_relaxed);
@@ -157,22 +154,93 @@ HostProfiler::snapshot(double modelSeconds) const
     prof.metricsBytes = metrics().approxBytes();
     prof.peakRssBytes = peakRssBytes();
     prof.currentRssBytes = currentRssBytes();
-
-    const double replaySec =
-        prof.phaseSeconds[static_cast<unsigned>(HostPhase::Replay)];
-    if (replaySec > 0.0)
-        prof.replaySlotsPerSec =
-            static_cast<double>(prof.replaySlots) / replaySec;
-    const double recordSec = prof.phaseSeconds[static_cast<unsigned>(
-        HostPhase::TraceRecord)];
-    if (recordSec > 0.0)
-        prof.traceRecordsPerSec =
-            static_cast<double>(prof.traceRecords) / recordSec;
     prof.modelSeconds = modelSeconds;
-    if (modelSeconds > 0.0)
-        prof.slowdownFactor = prof.totalSeconds / modelSeconds;
+    prof.deriveRates();
     return prof;
 }
+
+void
+HostProfile::deriveRates()
+{
+    const double replaySec =
+        phaseSeconds[static_cast<unsigned>(HostPhase::Replay)];
+    const double recordSec =
+        phaseSeconds[static_cast<unsigned>(HostPhase::TraceRecord)];
+    replaySlotsPerSec = replaySec > 0.0
+        ? static_cast<double>(replaySlots) / replaySec
+        : 0.0;
+    traceRecordsPerSec = recordSec > 0.0
+        ? static_cast<double>(traceRecords) / recordSec
+        : 0.0;
+    slowdownFactor =
+        modelSeconds > 0.0 ? totalSeconds / modelSeconds : 0.0;
+}
+
+void
+HostProfile::add(const HostProfile &later)
+{
+    for (unsigned p = 0; p < kHostPhaseCount; ++p) {
+        phaseSeconds[p] += later.phaseSeconds[p];
+        phaseCalls[p] += later.phaseCalls[p];
+    }
+    totalSeconds += later.totalSeconds;
+    modelSeconds += later.modelSeconds;
+    replaySlots += later.replaySlots;
+    traceRecords += later.traceRecords;
+    for (auto bytes : {&HostProfile::taskletTraceBytesPeak,
+                       &HostProfile::tracerBytes,
+                       &HostProfile::metricsBytes,
+                       &HostProfile::peakRssBytes,
+                       &HostProfile::currentRssBytes})
+        this->*bytes = std::max(this->*bytes, later.*bytes);
+    deriveRates();
+}
+
+namespace
+{
+
+/** The list entry of one phase's self seconds. */
+template <HostPhase P>
+constexpr JsonField<HostProfile>
+phase(const char *key)
+{
+    return {key,
+            [](HostProfile &h) -> FieldPtr {
+                return &h.phaseSeconds[static_cast<unsigned>(P)];
+            },
+            Compare::Noisy};
+}
+
+using H = HostProfile;
+using enum Compare;
+
+constexpr JsonField<HostProfile> kHost[] = {
+    field<&H::totalSeconds>("total_seconds", Noisy),
+    phase<HostPhase::PartitionBuild>("partition_build_seconds"),
+    phase<HostPhase::TraceRecord>("trace_record_seconds"),
+    phase<HostPhase::Replay>("replay_seconds"),
+    phase<HostPhase::ProfileFold>("profile_fold_seconds"),
+    phase<HostPhase::TransferModel>("transfer_model_seconds"),
+    phase<HostPhase::HostMerge>("host_merge_seconds"),
+    phase<HostPhase::Analysis>("analysis_seconds"),
+    field<&H::replaySlotsPerSec>("replay_slots_per_sec", Noisy,
+                                 Better::Higher),
+    field<&H::traceRecordsPerSec>("trace_records_per_sec", Noisy,
+                                  Better::Higher),
+    field<&H::replaySlots>("replay_slots"),
+    field<&H::traceRecords>("trace_records"),
+    field<&H::modelSeconds>("model_seconds"),
+    field<&H::slowdownFactor>("slowdown_factor", Noisy),
+    field<&H::peakRssBytes>("peak_rss_bytes"),
+    field<&H::currentRssBytes>("current_rss_bytes"),
+    field<&H::taskletTraceBytesPeak>("tasklet_trace_bytes_peak"),
+    field<&H::tracerBytes>("tracer_bytes"),
+    field<&H::metricsBytes>("metrics_bytes"),
+};
+
+} // namespace
+
+const FieldList<HostProfile> kHostFields = kHost;
 
 std::uint64_t
 HostProfiler::currentRssBytes()
@@ -259,27 +327,8 @@ publishHostProfile(double modelSeconds)
     Tracer &t = tracer();
     if (t.enabled()) {
         std::vector<TraceArg> args;
-        args.reserve(kHostPhaseCount + 10);
-        for (unsigned p = 0; p < kHostPhaseCount; ++p)
-            args.push_back(arg(
-                std::string(hostPhaseName(
-                    static_cast<HostPhase>(p))) +
-                    "_seconds",
-                s.phaseSeconds[p]));
-        args.push_back(arg("total_seconds", s.totalSeconds));
-        args.push_back(arg("model_seconds", s.modelSeconds));
-        args.push_back(arg("slowdown_factor", s.slowdownFactor));
-        args.push_back(arg("replay_slots", s.replaySlots));
-        args.push_back(arg("trace_records", s.traceRecords));
-        args.push_back(
-            arg("replay_slots_per_sec", s.replaySlotsPerSec));
-        args.push_back(
-            arg("trace_records_per_sec", s.traceRecordsPerSec));
-        args.push_back(arg("tasklet_trace_bytes_peak",
-                           s.taskletTraceBytesPeak));
-        args.push_back(arg("peak_rss_bytes", s.peakRssBytes));
-        args.push_back(
-            arg("current_rss_bytes", s.currentRssBytes));
+        for (const JsonField<HostProfile> &f : kHostFields)
+            args.push_back({f.key, encodeValue(f.at(s))});
         // Telemetry health riders: downstream readers (explain) warn
         // when spans or distribution samples were dropped.
         args.push_back(

@@ -26,6 +26,8 @@
 #include <chrono>
 #include <cstdint>
 
+#include "telemetry/json.hh"
+
 namespace alphapim::telemetry
 {
 
@@ -96,7 +98,25 @@ struct HostProfile
     /** Simulation slowdown factor: profiled host seconds per modeled
      * second (totalSeconds / modelSeconds; 0 when model time is 0). */
     double slowdownFactor = 0.0;
+
+    /** Derive the two throughputs and the slowdown factor from the
+     * totals above. */
+    void deriveRates();
+
+    /** Fold in the profile of a later, disjoint window: seconds,
+     * calls and counts add, byte figures take the maximum, and the
+     * rates are derived again from the sums. */
+    void add(const HostProfile &later);
 };
+
+/**
+ * The host block's field list: the keys of a run record's "host"
+ * block and of the "host_profile" trace event. Every field is
+ * wall-clock derived, so the differ compares the seconds, the
+ * throughputs and the slowdown factor as noisy samples and never
+ * exact-compares any of them.
+ */
+extern const FieldList<HostProfile> kHostFields;
 
 /**
  * Process-wide host-phase aggregator. All mutators are no-ops while
@@ -194,8 +214,9 @@ class HostPhaseTimer
 /**
  * Publish the profile as `host.*` metrics (scalars + counters) into
  * the global registry and, when the tracer is recording, emit a
- * "host_profile" instant event carrying the same numbers as args so
- * trace-mode consumers (alphapim_explain --host) can read them.
+ * "host_profile" instant event whose args are kHostFields, so
+ * trace-mode consumers (alphapim_explain --host) read them back
+ * through the same list.
  * No-op when the profiler is disabled.
  *
  * @param modelSeconds model time covered (slowdown denominator)

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <type_traits>
 
 #include "common/logging.hh"
 
@@ -467,6 +469,71 @@ JsonValue::parse(std::string_view text, JsonValue &out,
     out = JsonValue();
     JsonParser parser(text, error);
     return parser.parseDocument(out);
+}
+
+// ---------------------------------------------------------- field lists
+
+std::string
+encodeValue(FieldPtr m)
+{
+    return std::visit(
+        [](auto *p) -> std::string {
+            using V = std::remove_pointer_t<decltype(p)>;
+            if constexpr (std::is_same_v<V, std::string>)
+                return JsonWriter::quote(*p);
+            else if constexpr (std::is_same_v<V, double>)
+                return JsonWriter::number(*p);
+            else
+                return std::to_string(*p);
+        },
+        m);
+}
+
+double
+numberValue(FieldPtr m)
+{
+    return std::visit(
+        [](auto *p) -> double {
+            if constexpr (std::is_same_v<decltype(p), std::string *>)
+                return 0.0;
+            else
+                return static_cast<double>(*p);
+        },
+        m);
+}
+
+bool
+readValue(const JsonValue *v, FieldPtr m, std::string_view key,
+          std::string *error)
+{
+    const bool fits = !v || std::visit(
+        [v](auto *p) {
+            using V = std::remove_pointer_t<decltype(p)>;
+            if constexpr (std::is_same_v<V, std::string>) {
+                if (v->isString())
+                    *p = v->asString();
+            } else if (v->isNumber()) {
+                const double x = v->asNumber();
+                if constexpr (!std::is_same_v<V, double>) {
+                    // First whole number past V's range, exact as a
+                    // double.
+                    const double limit =
+                        static_cast<double>(std::numeric_limits<V>::max()) +
+                        1.0;
+                    if (!(x >= 0.0 && x < limit && x == std::floor(x)))
+                        return false;
+                }
+                *p = static_cast<V>(x);
+            }
+            return true;
+        },
+        m);
+    if (!fits && error) {
+        *error = std::string(key) + ": " +
+                 JsonWriter::number(v->asNumber()) +
+                 " does not fit an unsigned integer";
+    }
+    return fits;
 }
 
 } // namespace alphapim::telemetry

@@ -3,7 +3,9 @@
  * Minimal JSON support for the telemetry subsystem: a streaming
  * writer (compact, escaped, round-trippable doubles) and a small
  * recursive-descent parser used by tests and tooling to validate the
- * exported Chrome traces and JSONL records. No external dependencies.
+ * exported Chrome traces and JSONL records, plus the field lists that
+ * map a record block's JSON keys to struct members. No external
+ * dependencies.
  */
 
 #ifndef ALPHA_PIM_TELEMETRY_JSON_HH
@@ -11,9 +13,11 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
+#include <variant>
 #include <vector>
 
 namespace alphapim::telemetry
@@ -138,6 +142,15 @@ class JsonValue
     /** Member lookup; nullptr when absent or not an object. */
     const JsonValue *find(std::string_view key) const;
 
+    /** The number member `key`; `fallback` when absent or not a
+     * number. */
+    double
+    number(std::string_view key, double fallback = 0.0) const
+    {
+        const JsonValue *v = find(key);
+        return v && v->isNumber() ? v->number_ : fallback;
+    }
+
     /**
      * Parse a complete JSON document.
      *
@@ -159,6 +172,125 @@ class JsonValue
 
     friend class JsonParser;
 };
+
+/** How the run-record differ compares one field of a record block. */
+enum class Compare : std::uint8_t
+{
+    None,  ///< carried in the record, never compared
+    Exact, ///< deterministic model number: any drift is real
+    Noisy, ///< wall-clock sample: bootstrap CI over pooled runs
+};
+
+/** Which direction of change the differ counts as better. */
+enum class Better : std::uint8_t
+{
+    Lower,
+    Higher, ///< throughput: a drop is the regression
+};
+
+/** A typed pointer to one member of a record block. */
+using FieldPtr =
+    std::variant<double *, std::uint64_t *, unsigned *, std::string *>;
+
+/**
+ * One entry of a record block's field list: the JSON key, the member
+ * it maps to, and how the differ compares it. Each block lists its
+ * fields once; writeFields(), readFields() and the differ walk the
+ * list, so adding a field is one entry and no schema change.
+ */
+template <class T>
+struct JsonField
+{
+    const char *key;
+    FieldPtr (*member)(T &);
+    Compare compare = Compare::None;
+    Better better = Better::Lower;
+
+    /** Key of the nested object holding the field ("roofline");
+     * empty when the field sits in the block itself. */
+    std::string_view object = {};
+
+    /** The member of `s`, for reading only. */
+    FieldPtr
+    at(const T &s) const
+    {
+        return member(const_cast<T &>(s));
+    }
+};
+
+/** A block's field list. */
+template <class T>
+using FieldList = std::span<const JsonField<T>>;
+
+/** The list entry mapping `key` to the data member `Member`. */
+template <auto Member>
+constexpr auto
+field(const char *key, Compare compare = Compare::None,
+      Better better = Better::Lower)
+{
+    // The member pointer's type names the struct the list is for.
+    return [=]<class T, class V>(V T::*) {
+        return JsonField<T>{
+            key, [](T &s) -> FieldPtr { return &(s.*Member); },
+            compare, better};
+    }(Member);
+}
+
+/** The JSON encoding of the member `m` points at. */
+std::string encodeValue(FieldPtr m);
+
+/** The member `m` points at as a number (0 for strings). */
+double numberValue(FieldPtr m);
+
+/**
+ * Store `v` in the member `m` points at. An absent value or one of
+ * another JSON type leaves the member unchanged. Returns false, with
+ * *error naming `key`, when a number does not fit an unsigned member:
+ * negative, fractional, or past its range.
+ */
+bool readValue(const JsonValue *v, FieldPtr m, std::string_view key,
+               std::string *error);
+
+/** Write `s` as one JSON object of the fields in `fields`. */
+template <class T>
+void
+writeFields(JsonWriter &w, const T &s, FieldList<T> fields)
+{
+    std::string_view open; // nested object being written
+    w.beginObject();
+    for (const JsonField<T> &f : fields) {
+        if (f.object != open) {
+            if (!open.empty())
+                w.endObject();
+            if (!f.object.empty())
+                w.key(f.object).beginObject();
+            open = f.object;
+        }
+        w.key(f.key).rawValue(encodeValue(f.at(s)));
+    }
+    if (!open.empty())
+        w.endObject();
+    w.endObject();
+}
+
+/** Fill the members of `s` that `obj` carries, by key. Returns false
+ * (with *error naming the key) on a number that does not fit. */
+template <class T>
+bool
+readFields(const JsonValue &obj, T &s, FieldList<T> fields,
+           std::string *error)
+{
+    for (const JsonField<T> &f : fields) {
+        const JsonValue *in = f.object.empty() ? &obj : obj.find(f.object);
+        if (!readValue(in ? in->find(f.key) : nullptr, f.member(s),
+                       f.key, error)) {
+            if (error && !f.object.empty())
+                *error = std::string(f.object) + "." + *error;
+            return false;
+        }
+    }
+    return true;
+}
 
 } // namespace alphapim::telemetry
 

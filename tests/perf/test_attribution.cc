@@ -10,6 +10,7 @@
 
 #include "perf/attribution.hh"
 
+using namespace alphapim;
 using namespace alphapim::perf;
 
 namespace
@@ -37,13 +38,7 @@ baselineRecord()
                         {"revolver", 0.15},
                         {"rf-hazard", 0.03},
                         {"sync", 0.02}};
-    r.hasXfer = true;
-    r.xfer.scatters = 10;
-    r.xfer.scatterBytes = 1 << 20;
-    r.xfer.gathers = 10;
-    r.xfer.gatherBytes = 1 << 20;
-    r.xfer.broadcasts = 10;
-    r.xfer.broadcastBytes = 1 << 20;
+    r.xfer = XferCounts{10, 1 << 20, 10, 1 << 20, 10, 1 << 20};
     return r;
 }
 
@@ -78,8 +73,8 @@ TEST(Attribution, InflatedTransferPhasesAreTransferBound)
     RunRecord newer = older;
     newer.times.load *= 1.5;
     newer.times.retrieve *= 1.3;
-    newer.xfer.broadcastBytes =
-        static_cast<std::uint64_t>(older.xfer.broadcastBytes * 2.1);
+    newer.xfer->broadcastBytes =
+        static_cast<std::uint64_t>(older.xfer->broadcastBytes * 2.1);
 
     const Attribution a = attributeRegression(older, newer);
     EXPECT_EQ(a.kind, Bottleneck::TransferBound);
@@ -113,20 +108,25 @@ TEST(Attribution, HostBoundNamesTheDominantHostPhase)
     // Schema-v5 host blocks upgrade the host-bound headline: it
     // names where the *simulator* spent its wall clock and how the
     // replay throughput moved, not just the model phase.
+    using telemetry::HostPhase;
+    constexpr auto replay = static_cast<unsigned>(HostPhase::Replay);
+    constexpr auto record =
+        static_cast<unsigned>(HostPhase::TraceRecord);
     RunRecord older = baselineRecord();
-    older.hasHost = true;
-    older.host.totalSeconds = 1.0;
-    older.host.replaySeconds = 0.60;
-    older.host.traceRecordSeconds = 0.40;
-    older.host.replaySlotsPerSec = 2.0e6;
-    older.host.slowdownFactor = 50000.0;
+    telemetry::HostProfile &oh = older.host.emplace();
+    oh.totalSeconds = 1.0;
+    oh.phaseSeconds[replay] = 0.60;
+    oh.phaseSeconds[record] = 0.40;
+    oh.replaySlotsPerSec = 2.0e6;
+    oh.slowdownFactor = 50000.0;
     RunRecord newer = older;
     newer.times.merge += 0.10;
-    newer.host.totalSeconds = 2.0;
-    newer.host.replaySeconds = 1.36; // 68% of the new wall
-    newer.host.traceRecordSeconds = 0.64;
-    newer.host.replaySlotsPerSec = 1.62e6; // 0.81x of the old rate
-    newer.host.slowdownFactor = 100000.0;
+    telemetry::HostProfile &nh = *newer.host;
+    nh.totalSeconds = 2.0;
+    nh.phaseSeconds[replay] = 1.36; // 68% of the new wall
+    nh.phaseSeconds[record] = 0.64;
+    nh.replaySlotsPerSec = 1.62e6; // 0.81x of the old rate
+    nh.slowdownFactor = 100000.0;
 
     const Attribution a = attributeRegression(older, newer);
     EXPECT_EQ(a.kind, Bottleneck::HostBound);
@@ -203,18 +203,18 @@ withImbalance(RunRecord &r, double straggler_factor,
               double kernel_seconds, double leveled_seconds,
               double gini)
 {
-    r.hasImbalance = true;
-    r.imbalance.launches = 12;
-    r.imbalance.stragglerFactor = straggler_factor;
-    r.imbalance.cyclesGini = gini;
-    r.imbalance.stragglerKernel = "CSC-2D";
-    r.imbalance.stragglerDpu = 37;
-    r.imbalance.stragglerCyclesOverMean = straggler_factor;
-    r.imbalance.stragglerStall = "memory";
-    r.imbalance.stragglerStallFraction = 0.71;
-    r.imbalance.stragglerNnzOverMean = 3.1;
-    r.imbalance.kernelSeconds = kernel_seconds;
-    r.imbalance.leveledKernelSeconds = leveled_seconds;
+    analysis::RunImbalance &m = r.imbalance.emplace();
+    m.launches = 12;
+    m.stragglerFactor = straggler_factor;
+    m.cyclesGini = gini;
+    m.stragglerKernel = "CSC-2D";
+    m.stragglerDpu = 37;
+    m.stragglerCyclesOverMean = straggler_factor;
+    m.stragglerStall = "memory";
+    m.stragglerStallFraction = 0.71;
+    m.stragglerNnzOverMean = 3.1;
+    m.kernelSeconds = kernel_seconds;
+    m.leveledKernelSeconds = leveled_seconds;
 }
 
 } // namespace

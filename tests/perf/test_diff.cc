@@ -153,10 +153,9 @@ TEST(DiffVerdicts, StragglerFactorRegressionGates)
     // time held (e.g. the extra straggler cycles hid under a
     // shrunken transfer phase).
     RunRecord o = makeRecord("A", 0.5);
-    o.hasImbalance = true;
-    o.imbalance.stragglerFactor = 1.10;
+    o.imbalance.emplace().stragglerFactor = 1.10;
     RunRecord n = o;
-    n.imbalance.stragglerFactor = 2.40;
+    n.imbalance->stragglerFactor = 2.40;
     const DiffReport report = diffRecordSets(
         makeSet({o}), makeSet({n}), DiffOptions{});
     const PairDiff *pair = findPair(report, "A");
@@ -173,10 +172,9 @@ TEST(DiffVerdicts, StragglerFactorDriftStaysAdvisory)
 {
     // Sub-threshold straggler wiggle: Drifted, never a gate.
     RunRecord o = makeRecord("A", 0.5);
-    o.hasImbalance = true;
-    o.imbalance.stragglerFactor = 1.10;
+    o.imbalance.emplace().stragglerFactor = 1.10;
     RunRecord n = o;
-    n.imbalance.stragglerFactor = 1.11;
+    n.imbalance->stragglerFactor = 1.11;
     const DiffReport report = diffRecordSets(
         makeSet({o}), makeSet({n}), DiffOptions{});
     EXPECT_EQ(findPair(report, "A")->verdict, Verdict::Drifted);
@@ -254,15 +252,18 @@ RunRecord
 withHost(RunRecord r, double total_s, double replay_s,
          double slots_per_sec)
 {
-    r.hasHost = true;
-    r.host.totalSeconds = total_s;
-    r.host.replaySeconds = replay_s;
-    r.host.traceRecordSeconds = total_s - replay_s;
-    r.host.replaySlotsPerSec = slots_per_sec;
-    r.host.traceRecordsPerSec = 1e6;
-    r.host.replaySlots = 1000000;
-    r.host.traceRecords = 200000;
-    r.host.slowdownFactor = total_s / 0.001;
+    using telemetry::HostPhase;
+    telemetry::HostProfile &h = r.host.emplace();
+    h.totalSeconds = total_s;
+    h.phaseSeconds[static_cast<unsigned>(HostPhase::Replay)] =
+        replay_s;
+    h.phaseSeconds[static_cast<unsigned>(HostPhase::TraceRecord)] =
+        total_s - replay_s;
+    h.replaySlotsPerSec = slots_per_sec;
+    h.traceRecordsPerSec = 1e6;
+    h.replaySlots = 1000000;
+    h.traceRecords = 200000;
+    h.slowdownFactor = total_s / 0.001;
     return r;
 }
 

@@ -7,6 +7,9 @@
  * intact; legacy (pre-manifest) records still load.
  */
 
+#include <cstdio>
+#include <fstream>
+
 #include <gtest/gtest.h>
 
 #include "perf/build_info.hh"
@@ -99,16 +102,11 @@ TEST(RunRecord, EncodeParseRoundTrip)
         upmem::StallReason::Revolver)] = 1024;
     profile.activeDpus = 8;
 
-    XferCounts xfer;
-    xfer.scatters = 3;
-    xfer.scatterBytes = 1536;
-    xfer.gathers = 2;
-    xfer.gatherBytes = 512;
-    xfer.broadcasts = 1;
-    xfer.broadcastBytes = 4096;
+    RecordBlocks blocks;
+    blocks.xfer = XferCounts{3, 1536, 2, 512, 1, 4096};
 
-    const std::string line = encodeRunRecord(
-        m, key, 17, times, &profile, &xfer, 1.5);
+    const std::string line =
+        encodeRunRecord(m, key, 17, times, &profile, 1.5, blocks);
 
     RunRecord r;
     std::string error;
@@ -133,13 +131,13 @@ TEST(RunRecord, EncodeParseRoundTrip)
     EXPECT_DOUBLE_EQ(r.stallFractions.at("memory"), 0.5);
     EXPECT_DOUBLE_EQ(r.stallFractions.at("revolver"), 0.25);
 
-    ASSERT_TRUE(r.hasXfer);
-    EXPECT_EQ(r.xfer.scatters, 3u);
-    EXPECT_EQ(r.xfer.scatterBytes, 1536u);
-    EXPECT_EQ(r.xfer.gathers, 2u);
-    EXPECT_EQ(r.xfer.gatherBytes, 512u);
-    EXPECT_EQ(r.xfer.broadcasts, 1u);
-    EXPECT_EQ(r.xfer.broadcastBytes, 4096u);
+    ASSERT_TRUE(r.xfer);
+    EXPECT_EQ(r.xfer->scatters, 3u);
+    EXPECT_EQ(r.xfer->scatterBytes, 1536u);
+    EXPECT_EQ(r.xfer->gathers, 2u);
+    EXPECT_EQ(r.xfer->gatherBytes, 512u);
+    EXPECT_EQ(r.xfer->broadcasts, 1u);
+    EXPECT_EQ(r.xfer->broadcastBytes, 4096u);
 }
 
 TEST(RunRecord, OptionalSectionsStayAbsent)
@@ -154,12 +152,12 @@ TEST(RunRecord, OptionalSectionsStayAbsent)
     times.kernel = 0.25;
 
     const std::string line = encodeRunRecord(
-        currentManifest(), key, 0, times, nullptr, nullptr, -1.0);
+        currentManifest(), key, 0, times, nullptr, -1.0);
     RunRecord r;
     std::string error;
     ASSERT_TRUE(parseRunRecord(line, r, &error)) << error;
     EXPECT_FALSE(r.hasProfile);
-    EXPECT_FALSE(r.hasXfer);
+    EXPECT_FALSE(r.xfer);
     EXPECT_LT(r.wallSeconds, 0.0);
     EXPECT_EQ(r.iterations, 0u);
 }
@@ -190,4 +188,31 @@ TEST(RunRecord, MalformedLinesReportErrors)
     error.clear();
     EXPECT_FALSE(parseRunRecord("{\"kind\":\"counter\"}", r, &error));
     EXPECT_FALSE(error.empty());
+
+    // An unsigned field whose number does not fit is malformed, and
+    // the error names the file, the line and the key. The lines are
+    // a v5 fixture record with only its dpus count replaced.
+    std::ifstream fixture(ALPHA_PIM_SOURCE_DIR
+                          "/tests/data/perf/baseline_v5.jsonl");
+    std::string good;
+    ASSERT_TRUE(std::getline(fixture, good));
+    ASSERT_TRUE(parseRunRecord(good, r, &error)) << error;
+    const std::string dpus = "\"dpus\":256,";
+    ASSERT_NE(good.find(dpus), std::string::npos);
+    for (const char *bad : {"-1", "1e30", "2.5"}) {
+        std::string line = good;
+        line.replace(line.find(dpus), dpus.size(),
+                     "\"dpus\":" + std::string(bad) + ",");
+        error.clear();
+        EXPECT_FALSE(parseRunRecord(line, r, &error)) << bad;
+        EXPECT_NE(error.find("dpus"), std::string::npos) << error;
+
+        const std::string path = testing::TempDir() + "bad_dpus.jsonl";
+        std::ofstream(path) << good << "\n" << line << "\n";
+        RecordSet set;
+        error.clear();
+        EXPECT_FALSE(loadRecordSet(path, set, &error)) << bad;
+        EXPECT_EQ(error.rfind(path + ":2: dpus: ", 0), 0u) << error;
+        std::remove(path.c_str());
+    }
 }

@@ -1,10 +1,8 @@
 /**
- * @file
- * Host block of the run-record schema (v5): a record carrying a
- * HostSummary survives encodeRunRecord() -> parseRunRecord() field
- * for field; summarizeHost() condenses a profiler snapshot
- * faithfully; and records from the older v2/v3/v4 schemas keep
- * parsing with the block absent-but-valid.
+ * Host block of the run record: a record carrying the profiler's
+ * HostProfile survives encodeRunRecord() -> parseRunRecord() field
+ * for field through the host field list, and records from the older
+ * v2/v3/v4 schemas keep parsing with the block absent.
  */
 
 #include <gtest/gtest.h>
@@ -19,24 +17,30 @@ using namespace alphapim::perf;
 namespace
 {
 
-HostSummary
+telemetry::HostProfile
 sampleHost()
 {
-    HostSummary h;
+    using telemetry::HostPhase;
+    const auto phase = [](HostPhase p) {
+        return static_cast<unsigned>(p);
+    };
+    telemetry::HostProfile h;
     h.totalSeconds = 2.125;
-    h.partitionBuildSeconds = 0.25;
-    h.traceRecordSeconds = 0.5;
-    h.replaySeconds = 0.875;
-    h.profileFoldSeconds = 0.125;
-    h.transferModelSeconds = 0.0625;
-    h.hostMergeSeconds = 0.1875;
-    h.analysisSeconds = 0.125;
+    h.phaseSeconds[phase(HostPhase::PartitionBuild)] = 0.25;
+    h.phaseSeconds[phase(HostPhase::TraceRecord)] = 0.5;
+    h.phaseSeconds[phase(HostPhase::Replay)] = 0.875;
+    h.phaseSeconds[phase(HostPhase::ProfileFold)] = 0.125;
+    h.phaseSeconds[phase(HostPhase::TransferModel)] = 0.0625;
+    h.phaseSeconds[phase(HostPhase::HostMerge)] = 0.1875;
+    h.phaseSeconds[phase(HostPhase::Analysis)] = 0.125;
     h.replaySlotsPerSec = 1.6e8;
     h.traceRecordsPerSec = 4.2e7;
     h.replaySlots = 140000000;
     h.traceRecords = 21000000;
+    h.modelSeconds = 2.2e-5;
     h.slowdownFactor = 96500.0;
     h.peakRssBytes = 268435456;
+    h.currentRssBytes = 134217728;
     h.taskletTraceBytesPeak = 8388608;
     h.tracerBytes = 1048576;
     h.metricsBytes = 262144;
@@ -59,33 +63,32 @@ sampleKey()
 
 TEST(RunRecordHost, EncodeParseRoundTrip)
 {
-    const HostSummary h = sampleHost();
+    const telemetry::HostProfile h = sampleHost();
+    RecordBlocks blocks;
+    blocks.host = h;
     core::PhaseTimes times;
     times.kernel = 0.0022;
 
     const std::string line =
         encodeRunRecord(currentManifest(), sampleKey(), 3, times,
-                        nullptr, nullptr, 2.2, nullptr, nullptr, &h);
+                        nullptr, 2.2, blocks);
 
     RunRecord r;
     std::string error;
     ASSERT_TRUE(parseRunRecord(line, r, &error)) << error;
-    ASSERT_TRUE(r.hasHost);
-    const HostSummary &b = r.host;
+    ASSERT_TRUE(r.host);
+    const telemetry::HostProfile &b = *r.host;
     EXPECT_DOUBLE_EQ(b.totalSeconds, 2.125);
-    EXPECT_DOUBLE_EQ(b.partitionBuildSeconds, 0.25);
-    EXPECT_DOUBLE_EQ(b.traceRecordSeconds, 0.5);
-    EXPECT_DOUBLE_EQ(b.replaySeconds, 0.875);
-    EXPECT_DOUBLE_EQ(b.profileFoldSeconds, 0.125);
-    EXPECT_DOUBLE_EQ(b.transferModelSeconds, 0.0625);
-    EXPECT_DOUBLE_EQ(b.hostMergeSeconds, 0.1875);
-    EXPECT_DOUBLE_EQ(b.analysisSeconds, 0.125);
+    for (unsigned p = 0; p < telemetry::kHostPhaseCount; ++p)
+        EXPECT_DOUBLE_EQ(b.phaseSeconds[p], h.phaseSeconds[p]) << p;
     EXPECT_DOUBLE_EQ(b.replaySlotsPerSec, 1.6e8);
     EXPECT_DOUBLE_EQ(b.traceRecordsPerSec, 4.2e7);
     EXPECT_EQ(b.replaySlots, 140000000u);
     EXPECT_EQ(b.traceRecords, 21000000u);
+    EXPECT_DOUBLE_EQ(b.modelSeconds, 2.2e-5);
     EXPECT_DOUBLE_EQ(b.slowdownFactor, 96500.0);
     EXPECT_EQ(b.peakRssBytes, 268435456u);
+    EXPECT_EQ(b.currentRssBytes, 134217728u);
     EXPECT_EQ(b.taskletTraceBytesPeak, 8388608u);
     EXPECT_EQ(b.tracerBytes, 1048576u);
     EXPECT_EQ(b.metricsBytes, 262144u);
@@ -95,14 +98,12 @@ TEST(RunRecordHost, OmittedBlockStaysAbsent)
 {
     core::PhaseTimes times;
     times.kernel = 0.25;
-    const std::string line =
-        encodeRunRecord(currentManifest(), sampleKey(), 0, times,
-                        nullptr, nullptr, -1.0, nullptr, nullptr,
-                        nullptr);
+    const std::string line = encodeRunRecord(
+        currentManifest(), sampleKey(), 0, times, nullptr, -1.0);
     RunRecord r;
     std::string error;
     ASSERT_TRUE(parseRunRecord(line, r, &error)) << error;
-    EXPECT_FALSE(r.hasHost);
+    EXPECT_FALSE(r.host);
 }
 
 TEST(RunRecordHost, OlderSchemasParseWithoutTheBlock)
@@ -134,58 +135,10 @@ TEST(RunRecordHost, OlderSchemasParseWithoutTheBlock)
     RunRecord r2, r4;
     std::string error;
     ASSERT_TRUE(parseRunRecord(v2, r2, &error)) << error;
-    EXPECT_FALSE(r2.hasHost);
+    EXPECT_FALSE(r2.host);
 
     ASSERT_TRUE(parseRunRecord(v4, r4, &error)) << error;
-    EXPECT_FALSE(r4.hasHost);
-    ASSERT_TRUE(r4.hasImbalance);
-    EXPECT_DOUBLE_EQ(r4.imbalance.stragglerFactor, 1.5);
-}
-
-TEST(RunRecordHost, SummarizeCopiesTheSnapshot)
-{
-    telemetry::HostProfile p;
-    using telemetry::HostPhase;
-    p.phaseSeconds[static_cast<unsigned>(
-        HostPhase::PartitionBuild)] = 0.1;
-    p.phaseSeconds[static_cast<unsigned>(HostPhase::TraceRecord)] =
-        0.2;
-    p.phaseSeconds[static_cast<unsigned>(HostPhase::Replay)] = 0.4;
-    p.phaseSeconds[static_cast<unsigned>(HostPhase::ProfileFold)] =
-        0.05;
-    p.phaseSeconds[static_cast<unsigned>(HostPhase::TransferModel)] =
-        0.03;
-    p.phaseSeconds[static_cast<unsigned>(HostPhase::HostMerge)] =
-        0.07;
-    p.phaseSeconds[static_cast<unsigned>(HostPhase::Analysis)] =
-        0.15;
-    p.totalSeconds = 1.0;
-    p.replaySlots = 4000000;
-    p.traceRecords = 800000;
-    p.replaySlotsPerSec = 1e7;
-    p.traceRecordsPerSec = 4e6;
-    p.slowdownFactor = 50000.0;
-    p.peakRssBytes = 123456789;
-    p.taskletTraceBytesPeak = 4194304;
-    p.tracerBytes = 65536;
-    p.metricsBytes = 32768;
-
-    const HostSummary s = summarizeHost(p);
-    EXPECT_DOUBLE_EQ(s.totalSeconds, 1.0);
-    EXPECT_DOUBLE_EQ(s.partitionBuildSeconds, 0.1);
-    EXPECT_DOUBLE_EQ(s.traceRecordSeconds, 0.2);
-    EXPECT_DOUBLE_EQ(s.replaySeconds, 0.4);
-    EXPECT_DOUBLE_EQ(s.profileFoldSeconds, 0.05);
-    EXPECT_DOUBLE_EQ(s.transferModelSeconds, 0.03);
-    EXPECT_DOUBLE_EQ(s.hostMergeSeconds, 0.07);
-    EXPECT_DOUBLE_EQ(s.analysisSeconds, 0.15);
-    EXPECT_DOUBLE_EQ(s.replaySlotsPerSec, 1e7);
-    EXPECT_DOUBLE_EQ(s.traceRecordsPerSec, 4e6);
-    EXPECT_EQ(s.replaySlots, 4000000u);
-    EXPECT_EQ(s.traceRecords, 800000u);
-    EXPECT_DOUBLE_EQ(s.slowdownFactor, 50000.0);
-    EXPECT_EQ(s.peakRssBytes, 123456789u);
-    EXPECT_EQ(s.taskletTraceBytesPeak, 4194304u);
-    EXPECT_EQ(s.tracerBytes, 65536u);
-    EXPECT_EQ(s.metricsBytes, 32768u);
+    EXPECT_FALSE(r4.host);
+    ASSERT_TRUE(r4.imbalance);
+    EXPECT_DOUBLE_EQ(r4.imbalance->stragglerFactor, 1.5);
 }

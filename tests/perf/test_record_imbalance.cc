@@ -1,10 +1,10 @@
 /**
  * @file
- * Imbalance block of the run-record schema (v4): a record carrying an
- * ImbalanceSummary survives encodeRunRecord() -> parseRunRecord()
- * field for field; summarizeImbalance() condenses the observer's run
- * aggregate faithfully; and records from the older v2/v3 schemas keep
- * parsing with the block absent-but-valid.
+ * Imbalance block of the run record: a record carrying the observer's
+ * RunImbalance survives encodeRunRecord() -> parseRunRecord() field
+ * for field through the imbalance field list (nested roofline
+ * included), and records from the older v2/v3 schemas keep parsing
+ * with the block absent.
  */
 
 #include <gtest/gtest.h>
@@ -19,10 +19,10 @@ using namespace alphapim::perf;
 namespace
 {
 
-ImbalanceSummary
+analysis::RunImbalance
 sampleImbalance()
 {
-    ImbalanceSummary s;
+    analysis::RunImbalance s;
     s.launches = 12;
     s.stragglerFactor = 2.4;
     s.cyclesGini = 0.31;
@@ -38,11 +38,11 @@ sampleImbalance()
     s.stragglerNnzOverMean = 3.1;
     s.kernelSeconds = 0.0022;
     s.leveledKernelSeconds = 0.000917;
-    s.rooflineOpIntensity = 0.8;
-    s.rooflineAchievedOpsPerSec = 4.3e9;
-    s.rooflinePipelineCeilingOpsPerSec = 8.96e10;
-    s.rooflineRidgeIntensity = 0.5;
-    s.rooflineMemoryBoundFraction = 0.25;
+    s.roofline.opIntensity = 0.8;
+    s.roofline.achievedOpsPerSec = 4.3e9;
+    s.roofline.pipelineCeilingOpsPerSec = 8.96e10;
+    s.roofline.ridgeIntensity = 0.5;
+    s.roofline.memoryBoundFraction = 0.25;
     return s;
 }
 
@@ -62,19 +62,20 @@ sampleKey()
 
 TEST(RunRecordImbalance, EncodeParseRoundTrip)
 {
-    const ImbalanceSummary s = sampleImbalance();
+    RecordBlocks blocks;
+    blocks.imbalance = sampleImbalance();
     core::PhaseTimes times;
     times.kernel = 0.0022;
 
     const std::string line =
         encodeRunRecord(currentManifest(), sampleKey(), 3, times,
-                        nullptr, nullptr, -1.0, nullptr, &s);
+                        nullptr, -1.0, blocks);
 
     RunRecord r;
     std::string error;
     ASSERT_TRUE(parseRunRecord(line, r, &error)) << error;
-    ASSERT_TRUE(r.hasImbalance);
-    const ImbalanceSummary &b = r.imbalance;
+    ASSERT_TRUE(r.imbalance);
+    const analysis::RunImbalance &b = *r.imbalance;
     EXPECT_EQ(b.launches, 12u);
     EXPECT_DOUBLE_EQ(b.stragglerFactor, 2.4);
     EXPECT_DOUBLE_EQ(b.cyclesGini, 0.31);
@@ -90,24 +91,23 @@ TEST(RunRecordImbalance, EncodeParseRoundTrip)
     EXPECT_DOUBLE_EQ(b.stragglerNnzOverMean, 3.1);
     EXPECT_DOUBLE_EQ(b.kernelSeconds, 0.0022);
     EXPECT_DOUBLE_EQ(b.leveledKernelSeconds, 0.000917);
-    EXPECT_DOUBLE_EQ(b.rooflineOpIntensity, 0.8);
-    EXPECT_DOUBLE_EQ(b.rooflineAchievedOpsPerSec, 4.3e9);
-    EXPECT_DOUBLE_EQ(b.rooflinePipelineCeilingOpsPerSec, 8.96e10);
-    EXPECT_DOUBLE_EQ(b.rooflineRidgeIntensity, 0.5);
-    EXPECT_DOUBLE_EQ(b.rooflineMemoryBoundFraction, 0.25);
+    EXPECT_DOUBLE_EQ(b.roofline.opIntensity, 0.8);
+    EXPECT_DOUBLE_EQ(b.roofline.achievedOpsPerSec, 4.3e9);
+    EXPECT_DOUBLE_EQ(b.roofline.pipelineCeilingOpsPerSec, 8.96e10);
+    EXPECT_DOUBLE_EQ(b.roofline.ridgeIntensity, 0.5);
+    EXPECT_DOUBLE_EQ(b.roofline.memoryBoundFraction, 0.25);
 }
 
 TEST(RunRecordImbalance, OmittedBlockStaysAbsent)
 {
     core::PhaseTimes times;
     times.kernel = 0.25;
-    const std::string line =
-        encodeRunRecord(currentManifest(), sampleKey(), 0, times,
-                        nullptr, nullptr, -1.0, nullptr, nullptr);
+    const std::string line = encodeRunRecord(
+        currentManifest(), sampleKey(), 0, times, nullptr, -1.0);
     RunRecord r;
     std::string error;
     ASSERT_TRUE(parseRunRecord(line, r, &error)) << error;
-    EXPECT_FALSE(r.hasImbalance);
+    EXPECT_FALSE(r.imbalance);
 }
 
 TEST(RunRecordImbalance, OlderSchemasParseWithoutTheBlock)
@@ -138,58 +138,11 @@ TEST(RunRecordImbalance, OlderSchemasParseWithoutTheBlock)
     RunRecord r2, r3;
     std::string error;
     ASSERT_TRUE(parseRunRecord(v2, r2, &error)) << error;
-    EXPECT_FALSE(r2.hasImbalance);
-    EXPECT_FALSE(r2.hasTimeline);
+    EXPECT_FALSE(r2.imbalance);
+    EXPECT_FALSE(r2.timeline);
 
     ASSERT_TRUE(parseRunRecord(v3, r3, &error)) << error;
-    EXPECT_FALSE(r3.hasImbalance);
-    ASSERT_TRUE(r3.hasTimeline);
-    EXPECT_DOUBLE_EQ(r3.timeline.transferCriticalFraction, 0.55);
-}
-
-TEST(RunRecordImbalance, SummarizeCopiesTheRunAggregate)
-{
-    analysis::RunImbalance run;
-    run.launches = 7;
-    run.stragglerFactor = 1.84;
-    run.cyclesGini = 0.15;
-    run.cyclesCov = 1.19;
-    run.cyclesP99OverMean = 1.4;
-    run.nnzGini = 0.12;
-    run.nnzMaxOverMean = 1.6;
-    run.stragglerKernel = "CSC-2D";
-    run.stragglerDpu = 16;
-    run.stragglerCyclesOverMean = 10.5;
-    run.stragglerStall = "memory";
-    run.stragglerStallFraction = 0.46;
-    run.stragglerNnzOverMean = 1.0;
-    run.kernelSeconds = 3.2e-4;
-    run.leveledKernelSeconds = 1.7e-4;
-    run.roofline.opIntensity = 0.2;
-    run.roofline.achievedOpsPerSec = 1.1e9;
-    run.roofline.pipelineCeilingOpsPerSec = 2.24e10;
-    run.roofline.ridgeIntensity = 0.5;
-    run.roofline.memoryBoundFraction = 1.0;
-
-    const ImbalanceSummary s = summarizeImbalance(run);
-    EXPECT_EQ(s.launches, 7u);
-    EXPECT_DOUBLE_EQ(s.stragglerFactor, 1.84);
-    EXPECT_DOUBLE_EQ(s.cyclesGini, 0.15);
-    EXPECT_DOUBLE_EQ(s.cyclesCov, 1.19);
-    EXPECT_DOUBLE_EQ(s.cyclesP99OverMean, 1.4);
-    EXPECT_DOUBLE_EQ(s.nnzGini, 0.12);
-    EXPECT_DOUBLE_EQ(s.nnzMaxOverMean, 1.6);
-    EXPECT_EQ(s.stragglerKernel, "CSC-2D");
-    EXPECT_EQ(s.stragglerDpu, 16u);
-    EXPECT_DOUBLE_EQ(s.stragglerCyclesOverMean, 10.5);
-    EXPECT_EQ(s.stragglerStall, "memory");
-    EXPECT_DOUBLE_EQ(s.stragglerStallFraction, 0.46);
-    EXPECT_DOUBLE_EQ(s.stragglerNnzOverMean, 1.0);
-    EXPECT_DOUBLE_EQ(s.kernelSeconds, 3.2e-4);
-    EXPECT_DOUBLE_EQ(s.leveledKernelSeconds, 1.7e-4);
-    EXPECT_DOUBLE_EQ(s.rooflineOpIntensity, 0.2);
-    EXPECT_DOUBLE_EQ(s.rooflineAchievedOpsPerSec, 1.1e9);
-    EXPECT_DOUBLE_EQ(s.rooflinePipelineCeilingOpsPerSec, 2.24e10);
-    EXPECT_DOUBLE_EQ(s.rooflineRidgeIntensity, 0.5);
-    EXPECT_DOUBLE_EQ(s.rooflineMemoryBoundFraction, 1.0);
+    EXPECT_FALSE(r3.imbalance);
+    ASSERT_TRUE(r3.timeline);
+    EXPECT_DOUBLE_EQ(r3.timeline->transferCriticalFraction, 0.55);
 }

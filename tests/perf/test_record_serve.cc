@@ -1,11 +1,10 @@
 /**
  * @file
- * Serve block of the run-record schema (v6): a record carrying a
- * ServeSummary survives encodeRunRecord() -> parseRunRecord() field
- * for field; records without the block (including older-schema
- * lines) keep parsing with hasServe=false; and the serve-gate
- * verdict logic in compareDeterministic treats queries_per_sec as
- * higher-is-better.
+ * Serve block of the run record: a record carrying a ServeSummary
+ * survives encodeRunRecord() -> parseRunRecord() field for field;
+ * records without the block (including older-schema lines) keep
+ * parsing with the block absent; and the serve-gate verdict logic in
+ * compareDeterministic treats queries_per_sec as higher-is-better.
  */
 
 #include <gtest/gtest.h>
@@ -58,19 +57,20 @@ sampleKey()
 
 TEST(RunRecordServe, EncodeParseRoundTrip)
 {
-    const ServeSummary s = sampleServe();
+    RecordBlocks blocks;
+    blocks.serve = sampleServe();
     core::PhaseTimes times;
     times.kernel = 0.03;
 
-    const std::string line = encodeRunRecord(
-        currentManifest(), sampleKey(), 60, times, nullptr, nullptr,
-        1.5, nullptr, nullptr, nullptr, &s);
+    const std::string line =
+        encodeRunRecord(currentManifest(), sampleKey(), 60, times,
+                        nullptr, 1.5, blocks);
 
     RunRecord r;
     std::string error;
     ASSERT_TRUE(parseRunRecord(line, r, &error)) << error;
-    ASSERT_TRUE(r.hasServe);
-    const ServeSummary &b = r.serve;
+    ASSERT_TRUE(r.serve);
+    const ServeSummary &b = *r.serve;
     EXPECT_EQ(b.submitted, 40u);
     EXPECT_EQ(b.admitted, 38u);
     EXPECT_EQ(b.rejected, 2u);
@@ -93,12 +93,11 @@ TEST(RunRecordServe, OmittedBlockStaysAbsent)
     core::PhaseTimes times;
     times.kernel = 0.25;
     const std::string line = encodeRunRecord(
-        currentManifest(), sampleKey(), 0, times, nullptr, nullptr,
-        -1.0, nullptr, nullptr, nullptr, nullptr);
+        currentManifest(), sampleKey(), 0, times, nullptr, -1.0);
     RunRecord r;
     std::string error;
     ASSERT_TRUE(parseRunRecord(line, r, &error)) << error;
-    EXPECT_FALSE(r.hasServe);
+    EXPECT_FALSE(r.serve);
 }
 
 TEST(RunRecordServe, OlderSchemasParseWithoutTheBlock)
@@ -113,7 +112,7 @@ TEST(RunRecordServe, OlderSchemasParseWithoutTheBlock)
     RunRecord r;
     std::string error;
     ASSERT_TRUE(parseRunRecord(v5, r, &error)) << error;
-    EXPECT_FALSE(r.hasServe);
+    EXPECT_FALSE(r.serve);
 }
 
 namespace
@@ -128,10 +127,9 @@ serveRecord(double qps, double p95)
     r.key = sampleKey();
     r.iterations = 60;
     r.times.kernel = 0.03;
-    r.hasServe = true;
     r.serve = sampleServe();
-    r.serve.queriesPerSec = qps;
-    r.serve.latencyP95 = p95;
+    r.serve->queriesPerSec = qps;
+    r.serve->latencyP95 = p95;
     return r;
 }
 

@@ -87,6 +87,20 @@ TEST(MmioDeath, RejectsOutOfRangeEntry)
                 "out of range");
 }
 
+TEST(MmioDeath, RejectsSizeBeyondNodeIdRange)
+{
+    // 2^32 + 5 rows would wrap to 5 if narrowed to NodeId unchecked,
+    // and the entry at row 2^32 + 4 would land on row 3.
+    std::istringstream in(
+        "%%MatrixMarket matrix coordinate real general\n"
+        "4294967301 4294967301 3\n"
+        "4294967300 1 1.0\n"
+        "1 2 1.0\n"
+        "2 1 1.0\n");
+    EXPECT_EXIT(readMatrixMarket(in), testing::ExitedWithCode(1),
+                "exceeds");
+}
+
 TEST(MmioDeath, MissingFileIsFatal)
 {
     EXPECT_EXIT(readMatrixMarketFile("/nonexistent/foo.mtx"),

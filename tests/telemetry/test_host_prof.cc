@@ -2,8 +2,9 @@
  * @file
  * Host-profiler tests: disabled-by-default no-op behavior, per-phase
  * aggregation, self-time attribution for nested timers, throughput
- * derivation in snapshot(), and the published host.* metrics /
- * host_profile trace event.
+ * derivation in snapshot(), folding profiles with add(), and the
+ * published host.* metrics / host_profile trace event, whose args
+ * read back through the host field list.
  */
 
 #include <thread>
@@ -11,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "telemetry/host_prof.hh"
+#include "telemetry/json.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/trace.hh"
 
@@ -162,10 +164,25 @@ TEST_F(ProfilerFixture, PublishWritesMetricsAndTraceEvent)
         if (e.name == "host_profile" && e.phase == 'i') {
             sawEvent = true;
             bool sawReplay = false;
-            for (const TraceArg &a : e.args)
+            JsonWriter w;
+            w.beginObject();
+            for (const TraceArg &a : e.args) {
                 if (a.key == "replay_seconds")
                     sawReplay = true;
+                w.key(a.key).rawValue(a.json);
+            }
+            w.endObject();
             EXPECT_TRUE(sawReplay);
+
+            // The args read back through the host list give the
+            // published snapshot, field for field.
+            JsonValue args;
+            ASSERT_TRUE(JsonValue::parse(w.str(), args));
+            HostProfile back;
+            ASSERT_TRUE(readFields(args, back, kHostFields, nullptr));
+            for (const JsonField<HostProfile> &f : kHostFields)
+                EXPECT_EQ(encodeValue(f.at(back)), encodeValue(f.at(s)))
+                    << f.key;
         }
     EXPECT_TRUE(sawEvent);
 
@@ -173,6 +190,36 @@ TEST_F(ProfilerFixture, PublishWritesMetricsAndTraceEvent)
     m.setEnabled(metricsWere);
     t.clear();
     t.setEnabled(tracerWas);
+}
+
+TEST(HostProfile, AddSumsTotalsAndKeepsBytePeaks)
+{
+    constexpr auto replay = static_cast<unsigned>(HostPhase::Replay);
+    HostProfile a;
+    a.phaseSeconds[replay] = 2.0;
+    a.totalSeconds = 2.0;
+    a.modelSeconds = 0.001;
+    a.replaySlots = 4000000;
+    a.peakRssBytes = 300;
+    a.taskletTraceBytesPeak = 50;
+    HostProfile b = a;
+    b.phaseSeconds[replay] = 1.0;
+    b.totalSeconds = 1.0;
+    b.peakRssBytes = 200;
+    b.taskletTraceBytesPeak = 70;
+
+    HostProfile sum;
+    sum.add(a);
+    sum.add(b);
+    EXPECT_DOUBLE_EQ(sum.phaseSeconds[replay], 3.0);
+    EXPECT_DOUBLE_EQ(sum.totalSeconds, 3.0);
+    EXPECT_DOUBLE_EQ(sum.modelSeconds, 0.002);
+    EXPECT_EQ(sum.replaySlots, 8000000u);
+    EXPECT_EQ(sum.peakRssBytes, 300u);
+    EXPECT_EQ(sum.taskletTraceBytesPeak, 70u);
+    // The rates come from the sums, not from either window.
+    EXPECT_DOUBLE_EQ(sum.replaySlotsPerSec, 8000000.0 / 3.0);
+    EXPECT_DOUBLE_EQ(sum.slowdownFactor, 1500.0);
 }
 
 TEST(HostProfiler, PhaseNamesAreStable)

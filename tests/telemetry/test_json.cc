@@ -2,11 +2,14 @@
  * @file
  * JSON writer/parser tests: documents built with JsonWriter must
  * parse back with JsonValue, escaping must round-trip, and malformed
- * input must be rejected with an error instead of crashing.
+ * input must be rejected with an error instead of crashing. Field
+ * lists write and read a struct by key, nested objects included, and
+ * reject unsigned values that do not fit.
  */
 
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -269,4 +272,76 @@ TEST(JsonValue, FindOnNonObjectReturnsNull)
     JsonValue root;
     ASSERT_TRUE(JsonValue::parse("[1,2]", root, nullptr));
     EXPECT_EQ(root.find("a"), nullptr);
+}
+
+namespace
+{
+
+struct Sample
+{
+    double x = 0.0;
+    std::uint64_t n = 0;
+    unsigned u = 0;
+    std::string s;
+    double inner = 0.0;
+};
+
+constexpr JsonField<Sample> kSampleList[] = {
+    field<&Sample::x>("x"),
+    field<&Sample::n>("n"),
+    field<&Sample::u>("u"),
+    field<&Sample::s>("s"),
+    {"y", [](Sample &s) -> FieldPtr { return &s.inner; },
+     Compare::None, Better::Lower, "nested"},
+};
+const FieldList<Sample> kSampleFields = kSampleList;
+
+/** Read `json` through the sample list; the error on failure. */
+std::string
+readError(const std::string &json)
+{
+    JsonValue doc;
+    EXPECT_TRUE(JsonValue::parse(json, doc, nullptr)) << json;
+    Sample out;
+    std::string error;
+    return readFields(doc, out, kSampleFields, &error) ? "" : error;
+}
+
+} // namespace
+
+TEST(JsonField, WriteReadRoundTripWithNestedObject)
+{
+    const Sample in{1.5, std::uint64_t{1} << 60, 4000000000u, "CSC-2D",
+                    0.25};
+    JsonWriter w;
+    writeFields(w, in, kSampleFields);
+    EXPECT_EQ(w.str(), "{\"x\":1.5,\"n\":1152921504606846976,"
+                       "\"u\":4000000000,\"s\":\"CSC-2D\","
+                       "\"nested\":{\"y\":0.25}}");
+
+    JsonValue doc;
+    ASSERT_TRUE(JsonValue::parse(w.str(), doc, nullptr));
+    Sample out;
+    ASSERT_TRUE(readFields(doc, out, kSampleFields, nullptr));
+    EXPECT_EQ(out.x, 1.5);
+    EXPECT_EQ(out.n, std::uint64_t{1} << 60);
+    EXPECT_EQ(out.u, 4000000000u);
+    EXPECT_EQ(out.s, "CSC-2D");
+    EXPECT_EQ(out.inner, 0.25);
+}
+
+TEST(JsonField, UnsignedFieldsRejectNumbersThatDoNotFit)
+{
+    // Absent keys and values of another type leave members alone.
+    EXPECT_EQ(readError("{\"n\":\"7\",\"x\":null}"), "");
+    // The largest values each type holds read back.
+    EXPECT_EQ(readError("{\"n\":18446744073709549568}"), "");
+    EXPECT_EQ(readError("{\"u\":4294967295}"), "");
+    for (const char *bad : {"-1", "2.5", "18446744073709551616", "1e30"})
+        EXPECT_EQ(readError(std::string("{\"n\":") + bad + "}").rfind(
+                      "n: ", 0),
+                  0u)
+            << bad;
+    EXPECT_EQ(readError("{\"u\":4294967296}"),
+              "u: 4294967296 does not fit an unsigned integer");
 }

@@ -12,15 +12,14 @@
  * HTML page (inline SVG, no external dependencies).
  *
  * Records mode (--records FILE, a --json-out JSONL file): prints the
- * timeline summary block of every run record that carries one
- * (schema v3).
+ * timeline summary block of every run record that carries one.
  *
  * --imbalance adds the load-imbalance section: per-DPU skew,
  * straggler attribution and the rebalance bound, plus the modeled
  * roofline position. In trace mode the analytics are recomputed from
  * the per-DPU kernel spans (stall composition and MRAM traffic ride
  * on the span args); in records mode the run record's "imbalance"
- * block (schema v4) is printed. The HTML report always carries the
+ * block is printed. The HTML report always carries the
  * per-DPU heatmap lane and the roofline chart when the trace has the
  * per-DPU data.
  *
@@ -28,9 +27,10 @@
  * own wall seconds went (per-phase profiler), the memory footprint,
  * the replay/trace throughput, and the simulation slowdown factor.
  * In trace mode the data comes from the "host_profile" instant
- * events; in records mode from the run record's "host" block (schema
- * v5). The HTML report gains a host-phase lane whenever the trace
- * carries the event.
+ * events, in records mode from the run record's "host" block; both
+ * are read through the host field list (telemetry::kHostFields). The
+ * HTML report gains a host-phase lane whenever the trace carries the
+ * event.
  *
  * Both modes warn loudly -- on stderr and in the report header --
  * when the artifact records dropped trace spans or dropped
@@ -139,62 +139,19 @@ fmt(const char *format, ...)
     return buf;
 }
 
-double
-numberOf(const telemetry::JsonValue &obj, const char *key,
-         double fallback = 0.0)
-{
-    const auto *v = obj.find(key);
-    return v && v->isNumber() ? v->asNumber() : fallback;
-}
-
-/** Host-observatory data aggregated from the trace's "host_profile"
- * instant events. Per-run publishes are summed (seconds, slots,
- * records, model seconds); memory peaks take the max, so the numbers
- * read as one whole-artifact profile. */
-struct TraceHost
-{
-    bool present = false;
-    std::size_t events = 0;
-    double phaseSeconds[telemetry::kHostPhaseCount] = {};
-    double totalSeconds = 0.0;
-    double modelSeconds = 0.0;
-    double replaySlots = 0.0;
-    double traceRecords = 0.0;
-    double taskletTraceBytesPeak = 0.0;
-    double peakRssBytes = 0.0;
-    double traceDroppedSpans = 0.0;
-    double metricsSamplesDropped = 0.0;
-
-    double
-    slowdownFactor() const
-    {
-        return modelSeconds > 0.0 ? totalSeconds / modelSeconds
-                                  : 0.0;
-    }
-
-    double
-    replaySlotsPerSec() const
-    {
-        const double sec = phaseSeconds[static_cast<unsigned>(
-            telemetry::HostPhase::Replay)];
-        return sec > 0.0 ? replaySlots / sec : 0.0;
-    }
-
-    double
-    traceRecordsPerSec() const
-    {
-        const double sec = phaseSeconds[static_cast<unsigned>(
-            telemetry::HostPhase::TraceRecord)];
-        return sec > 0.0 ? traceRecords / sec : 0.0;
-    }
-};
-
 /** Everything read back out of one Chrome trace file. */
 struct LoadedTrace
 {
     std::vector<telemetry::TimelineSpan> spans;
-    TraceHost host;
-    double droppedSpans = 0.0; ///< top-level tracer overflow count
+
+    /** The "host_profile" events, read through the host field list
+     * and folded into one whole-artifact profile. */
+    telemetry::HostProfile host;
+    std::size_t hostEvents = 0;
+
+    /** Telemetry health: tracer overflow and reservoir drops. */
+    double droppedSpans = 0.0;
+    double samplesDropped = 0.0;
 };
 
 /** Load a Chrome trace file back into timeline spans plus the
@@ -219,7 +176,7 @@ loadTraceSpans(const std::string &path, LoadedTrace &lt,
         *error = "no traceEvents array -- not a Chrome trace";
         return false;
     }
-    lt.droppedSpans = numberOf(doc, "droppedSpans");
+    lt.droppedSpans = doc.number("droppedSpans");
     for (const auto &e : events->items()) {
         if (!e.isObject())
             continue;
@@ -233,32 +190,18 @@ loadTraceSpans(const std::string &path, LoadedTrace &lt,
                 name->asString() != "host_profile" || !args ||
                 !args->isObject())
                 continue;
-            TraceHost &h = lt.host;
-            h.present = true;
-            ++h.events;
-            for (unsigned p = 0; p < telemetry::kHostPhaseCount;
-                 ++p) {
-                const std::string key =
-                    std::string(telemetry::hostPhaseName(
-                        static_cast<telemetry::HostPhase>(p))) +
-                    "_seconds";
-                h.phaseSeconds[p] += numberOf(*args, key.c_str());
+            telemetry::HostProfile event;
+            if (!telemetry::readFields(*args, event,
+                                       telemetry::kHostFields, error)) {
+                *error = "host_profile event: " + *error;
+                return false;
             }
-            h.totalSeconds += numberOf(*args, "total_seconds");
-            h.modelSeconds += numberOf(*args, "model_seconds");
-            h.replaySlots += numberOf(*args, "replay_slots");
-            h.traceRecords += numberOf(*args, "trace_records");
-            h.taskletTraceBytesPeak =
-                std::max(h.taskletTraceBytesPeak,
-                         numberOf(*args, "tasklet_trace_bytes_peak"));
-            h.peakRssBytes = std::max(
-                h.peakRssBytes, numberOf(*args, "peak_rss_bytes"));
-            h.traceDroppedSpans =
-                std::max(h.traceDroppedSpans,
-                         numberOf(*args, "trace_dropped_spans"));
-            h.metricsSamplesDropped = std::max(
-                h.metricsSamplesDropped,
-                numberOf(*args, "metrics_samples_dropped"));
+            lt.host.add(event);
+            ++lt.hostEvents;
+            lt.droppedSpans = std::max(
+                lt.droppedSpans, args->number("trace_dropped_spans"));
+            lt.samplesDropped = std::max(
+                lt.samplesDropped, args->number("metrics_samples_dropped"));
             continue;
         }
         if (ph->asString() != "X")
@@ -268,21 +211,21 @@ loadTraceSpans(const std::string &path, LoadedTrace &lt,
             s.name = v->asString();
         if (const auto *v = e.find("cat"); v && v->isString())
             s.category = v->asString();
-        s.pid = static_cast<std::uint32_t>(numberOf(e, "pid"));
-        s.tid = static_cast<std::uint32_t>(numberOf(e, "tid"));
-        s.start = numberOf(e, "ts") / 1e6; // micros -> seconds
-        s.duration = numberOf(e, "dur") / 1e6;
+        s.pid = static_cast<std::uint32_t>(e.number("pid"));
+        s.tid = static_cast<std::uint32_t>(e.number("tid"));
+        s.start = e.number("ts") / 1e6; // micros -> seconds
+        s.duration = e.number("dur") / 1e6;
         if (const auto *args = e.find("args");
             args && args->isObject()) {
-            s.bytes = numberOf(*args, "bytes");
-            s.cycles = numberOf(*args, "cycles");
-            s.issued = numberOf(*args, "issued");
-            s.stallMemory = numberOf(*args, "stall_memory");
-            s.stallRevolver = numberOf(*args, "stall_revolver");
-            s.stallRfHazard = numberOf(*args, "stall_rf_hazard");
-            s.stallSync = numberOf(*args, "stall_sync");
-            s.instr = numberOf(*args, "instr");
-            s.mramBytes = numberOf(*args, "mram_bytes");
+            s.bytes = args->number("bytes");
+            s.cycles = args->number("cycles");
+            s.issued = args->number("issued");
+            s.stallMemory = args->number("stall_memory");
+            s.stallRevolver = args->number("stall_revolver");
+            s.stallRfHazard = args->number("stall_rf_hazard");
+            s.stallSync = args->number("stall_sync");
+            s.instr = args->number("instr");
+            s.mramBytes = args->number("mram_bytes");
         }
         out.push_back(std::move(s));
     }
@@ -380,7 +323,8 @@ struct Analysis
     analysis::CriticalPath path;
     analysis::WhatIf whatif;
     TraceImbalance imbalance;
-    TraceHost host;
+    telemetry::HostProfile host;
+    std::size_t hostEvents = 0;
     double accounted = 0.0;
     double attributionError = 0.0; ///< |path - accounted| / accounted
 
@@ -394,20 +338,19 @@ analyze(LoadedTrace lt)
 {
     Analysis a;
     a.host = lt.host;
-    const double dropped_spans =
-        std::max(lt.droppedSpans, lt.host.traceDroppedSpans);
-    if (dropped_spans > 0.0) {
+    a.hostEvents = lt.hostEvents;
+    if (lt.droppedSpans > 0.0) {
         a.warnings.push_back(fmt(
             "WARNING: the tracer dropped %.0f spans (buffer "
             "overflow) -- the timeline below is incomplete",
-            dropped_spans));
+            lt.droppedSpans));
     }
-    if (lt.host.metricsSamplesDropped > 0.0) {
+    if (lt.samplesDropped > 0.0) {
         a.warnings.push_back(fmt(
             "WARNING: %.0f distribution samples were dropped past "
             "the reservoir cap -- percentile metrics are "
             "approximate",
-            lt.host.metricsSamplesDropped));
+            lt.samplesDropped));
     }
     std::vector<telemetry::TimelineSpan> spans =
         std::move(lt.spans);
@@ -516,19 +459,7 @@ imbalanceReport(const Analysis &a)
         worst->kernel.c_str(), worst->cycles.gini,
         worst->cycles.cov, worst->cycles.p99OverMean(),
         worst->dpus);
-    std::string straggler = fmt(
-        "  straggler: DPU %u: %.1fx mean cycles",
-        worst->stragglerDpu, worst->stragglerCyclesOverMean);
-    if (!worst->stragglerStall.empty()) {
-        straggler += fmt(", %.0f%% %s-stall",
-                         worst->stragglerStallFraction * 100.0,
-                         worst->stragglerStall.c_str());
-    }
-    if (worst->stragglerNnzOverMean > 0.0) {
-        straggler += fmt(", holds %.1fx mean nnz",
-                         worst->stragglerNnzOverMean);
-    }
-    out += straggler + "\n";
+    out += "  straggler: " + analysis::describeStraggler(*worst) + "\n";
     out += fmt(
         "  rebalance bound: leveled kernel time %.3f ms vs %.3f ms "
         "actual (%.2fx available)\n",
@@ -553,10 +484,10 @@ imbalanceReport(const Analysis &a)
 /** --host text section: per-phase host/model breakdown, throughput,
  * memory footprint and the simulation slowdown factor. */
 std::string
-hostReport(const TraceHost &h)
+hostReport(const telemetry::HostProfile &h, std::size_t events)
 {
     std::string out;
-    if (!h.present) {
+    if (events == 0) {
         out += "host profile: no host_profile events in the trace "
                "(recorded with --host-prof=off or by an older "
                "build?)\n";
@@ -565,9 +496,9 @@ hostReport(const TraceHost &h)
     out += fmt(
         "host profile: %.3f s simulator wall vs %.3g s model time",
         h.totalSeconds, h.modelSeconds);
-    if (h.slowdownFactor() > 0.0)
-        out += fmt(" -- slowdown %.1fx", h.slowdownFactor());
-    out += fmt(" (%zu profile events)\n", h.events);
+    if (h.slowdownFactor > 0.0)
+        out += fmt(" -- slowdown %.1fx", h.slowdownFactor);
+    out += fmt(" (%zu profile events)\n", events);
     for (unsigned p = 0; p < telemetry::kHostPhaseCount; ++p) {
         out += fmt("  %-15s %9.3f ms  (%5.1f%% of host wall)\n",
                    telemetry::hostPhaseName(
@@ -580,12 +511,13 @@ hostReport(const TraceHost &h)
     out += fmt(
         "  throughput: %.3g replayed slots/s (%.3g slots), %.3g "
         "trace records/s (%.3g records)\n",
-        h.replaySlotsPerSec(), h.replaySlots,
-        h.traceRecordsPerSec(), h.traceRecords);
+        h.replaySlotsPerSec, static_cast<double>(h.replaySlots),
+        h.traceRecordsPerSec, static_cast<double>(h.traceRecords));
     out += fmt(
         "  memory: peak RSS %.1f MB, tasklet-trace high water "
         "%.2f MB\n",
-        h.peakRssBytes / 1e6, h.taskletTraceBytesPeak / 1e6);
+        static_cast<double>(h.peakRssBytes) / 1e6,
+        static_cast<double>(h.taskletTraceBytesPeak) / 1e6);
     return out;
 }
 
@@ -605,9 +537,9 @@ constexpr const char *kHostPhaseColors
  * simulator's own wall time went. Empty when the trace carries no
  * host_profile events. */
 std::string
-hostLaneSvg(const TraceHost &h)
+hostLaneSvg(const telemetry::HostProfile &h)
 {
-    if (!h.present || h.totalSeconds <= 0.0)
+    if (h.totalSeconds <= 0.0)
         return "";
     constexpr double width = 1000.0;
     constexpr double labelW = 90.0;
@@ -1011,9 +943,10 @@ htmlReport(const std::string &source, const Analysis &a)
         html += "<h2>Imbalance</h2>\n<pre>" +
                 htmlEscape(imbalanceReport(a)) + "</pre>\n";
     }
-    if (a.host.present) {
+    if (a.hostEvents > 0) {
         html += "<h2>Host profile</h2>\n<pre>" +
-                htmlEscape(hostReport(a.host)) + "</pre>\n";
+                htmlEscape(hostReport(a.host, a.hostEvents)) +
+                "</pre>\n";
     }
     html += "</body></html>\n";
     return html;
@@ -1044,7 +977,7 @@ runTraceMode(const ExplainOptions &opt)
     if (opt.imbalance)
         std::fputs(imbalanceReport(a).c_str(), stdout);
     if (opt.host)
-        std::fputs(hostReport(a.host).c_str(), stdout);
+        std::fputs(hostReport(a.host, a.hostEvents).c_str(), stdout);
     if (!opt.html.empty()) {
         std::ofstream out(opt.html);
         if (!out) {
@@ -1075,38 +1008,29 @@ runRecordsMode(const ExplainOptions &opt)
     std::size_t with_imbalance = 0;
     std::size_t with_host = 0;
     for (const perf::RunRecord &r : set.records) {
-        if (opt.host && r.hasHost) {
+        if (opt.host && r.host) {
             ++with_host;
-            const perf::HostSummary &h = r.host;
-            const struct
-            {
-                const char *name;
-                double seconds;
-            } host_phases[] = {
-                {"partition_build", h.partitionBuildSeconds},
-                {"trace_record", h.traceRecordSeconds},
-                {"replay", h.replaySeconds},
-                {"profile_fold", h.profileFoldSeconds},
-                {"transfer_model", h.transferModelSeconds},
-                {"host_merge", h.hostMergeSeconds},
-                {"analysis", h.analysisSeconds},
+            const telemetry::HostProfile &h = *r.host;
+            const auto phase_name = [](unsigned p) {
+                return telemetry::hostPhaseName(
+                    static_cast<telemetry::HostPhase>(p));
             };
-            const auto *dominant = &host_phases[0];
-            for (const auto &hp : host_phases)
-                if (hp.seconds > dominant->seconds)
-                    dominant = &hp;
+            unsigned dominant = 0;
+            for (unsigned p = 1; p < telemetry::kHostPhaseCount; ++p)
+                if (h.phaseSeconds[p] > h.phaseSeconds[dominant])
+                    dominant = p;
             std::printf(
                 "  host %s: %.3g s host wall, slowdown %.1fx; "
                 "dominant phase %s (%.0f%% of wall)\n",
                 r.key.str().c_str(), h.totalSeconds,
-                h.slowdownFactor, dominant->name,
+                h.slowdownFactor, phase_name(dominant),
                 h.totalSeconds > 0.0
-                    ? dominant->seconds / h.totalSeconds * 100.0
+                    ? h.phaseSeconds[dominant] / h.totalSeconds * 100.0
                     : 0.0);
             std::string phases = "    phases:";
-            for (const auto &hp : host_phases)
-                phases +=
-                    fmt(" %s %.3g s", hp.name, hp.seconds);
+            for (unsigned p = 0; p < telemetry::kHostPhaseCount; ++p)
+                phases += fmt(" %s %.3g s", phase_name(p),
+                              h.phaseSeconds[p]);
             std::printf("%s\n", phases.c_str());
             std::printf(
                 "    throughput: %.3g replayed slots/s (%llu "
@@ -1123,9 +1047,9 @@ runRecordsMode(const ExplainOptions &opt)
                 static_cast<double>(h.tracerBytes) / 1e6,
                 static_cast<double>(h.metricsBytes) / 1e6);
         }
-        if (r.hasTimeline) {
+        if (r.timeline) {
             ++with_timeline;
-            const perf::TimelineSummary &t = r.timeline;
+            const perf::TimelineSummary &t = *r.timeline;
             std::printf(
                 "  %s: window %.3f ms, %llu launches, overlap "
                 "%.2f, rank occupancy mean %.1f%%, transfers "
@@ -1139,10 +1063,10 @@ runRecordsMode(const ExplainOptions &opt)
                 t.whatifDoubleBufferSpeedup,
                 t.whatifCombinedSpeedup);
         }
-        if (!opt.imbalance || !r.hasImbalance)
+        if (!opt.imbalance || !r.imbalance)
             continue;
         ++with_imbalance;
-        const perf::ImbalanceSummary &m = r.imbalance;
+        const analysis::RunImbalance &m = *r.imbalance;
         std::printf(
             "  imbalance %s: %llu launches, straggler factor "
             "%.2fx, cycles gini %.2f (cov %.2f, p99/mean %.2fx), "
@@ -1151,19 +1075,8 @@ runRecordsMode(const ExplainOptions &opt)
             static_cast<unsigned long long>(m.launches),
             m.stragglerFactor, m.cyclesGini, m.cyclesCov,
             m.cyclesP99OverMean, m.nnzGini);
-        std::string straggler = fmt(
-            "    straggler: DPU %llu: %.1fx mean cycles",
-            static_cast<unsigned long long>(m.stragglerDpu),
-            m.stragglerCyclesOverMean);
-        if (!m.stragglerStall.empty()) {
-            straggler += fmt(", %.0f%% %s-stall",
-                             m.stragglerStallFraction * 100.0,
-                             m.stragglerStall.c_str());
-        }
-        if (m.stragglerNnzOverMean > 0.0) {
-            straggler += fmt(", holds %.1fx mean nnz",
-                             m.stragglerNnzOverMean);
-        }
+        std::string straggler =
+            "    straggler: " + analysis::describeStraggler(m);
         if (!m.stragglerKernel.empty())
             straggler += " (" + m.stragglerKernel + ")";
         std::printf("%s\n", straggler.c_str());
@@ -1178,10 +1091,10 @@ runRecordsMode(const ExplainOptions &opt)
             "    roofline: %.2f instr/byte (ridge %.2f), %.3g "
             "ops/s achieved vs %.3g pipeline ceiling; "
             "memory-bound %.0f%% of launches\n",
-            m.rooflineOpIntensity, m.rooflineRidgeIntensity,
-            m.rooflineAchievedOpsPerSec,
-            m.rooflinePipelineCeilingOpsPerSec,
-            m.rooflineMemoryBoundFraction * 100.0);
+            m.roofline.opIntensity, m.roofline.ridgeIntensity,
+            m.roofline.achievedOpsPerSec,
+            m.roofline.pipelineCeilingOpsPerSec,
+            m.roofline.memoryBoundFraction * 100.0);
     }
     if (opt.imbalance && with_imbalance == 0) {
         std::fprintf(stderr,

@@ -323,13 +323,14 @@ main(int argc, char **argv)
         key.dpus = opt.dpus;
         key.seed = opt.seed;
 
+        perf::RecordBlocks blocks;
+        blocks.serve = s;
         telemetry::appendJsonlRecord(
             opt.jsonOut,
             perf::encodeRunRecord(manifest, key,
                                   engine.servedIterations(),
                                   engine.phaseTotals(), nullptr,
-                                  nullptr, wall_seconds, nullptr,
-                                  nullptr, nullptr, &s));
+                                  wall_seconds, blocks));
     }
     if (!opt.metricsOut.empty())
         telemetry::writeMetricsFile(opt.metricsOut);
