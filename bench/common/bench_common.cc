@@ -70,15 +70,15 @@ parseOptions(int argc, char **argv)
         const std::string &arg = args.arg();
         auto next = [&]() -> const char * { return args.value(); };
         if (arg == "--dpus") {
-            opt.dpus = static_cast<unsigned>(std::atoi(next()));
+            args.readUnsigned(opt.dpus);
         } else if (arg == "--scale") {
             opt.scale = std::atof(next());
         } else if (arg == "--edge-target") {
-            opt.edgeTarget = std::strtoull(next(), nullptr, 10);
+            args.readUnsigned(opt.edgeTarget);
         } else if (arg == "--datasets") {
             opt.datasets = splitCsv(next());
         } else if (arg == "--seed") {
-            opt.seed = std::strtoull(next(), nullptr, 10);
+            args.readUnsigned(opt.seed);
         } else if (arg == "--quick") {
             opt.quick = true;
         } else if (arg == "--trace-out") {

@@ -3,16 +3,17 @@
  * google-benchmark microbenchmarks of the simulation infrastructure
  * itself: revolver-scheduler replay throughput on long Ops runs, on
  * SpMSpV-shaped short records with a WRAM or an MRAM accumulator, and
- * on traces captured from real CSC-2D and DCOO-2D launches; the host
- * merge fold, the profile fold and the transfer model; trace
- * generation, partitioned-block construction, and one full SpMSpV
- * launch. These bound the wall-clock cost of the figure benches; all
- * report wall time, since a launch replays on parallelFor worker
- * threads.
+ * on traces captured from real CSC-2D and DCOO-2D launches; trace
+ * recording of those launches with replay off; the host merge fold,
+ * the profile fold and the transfer model; trace generation,
+ * partitioned-block construction, and one full SpMSpV launch. These
+ * bound the wall-clock cost of the figure benches; all report wall
+ * time, since a launch replays on parallelFor worker threads.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <memory>
 
 #include "analysis/capture.hh"
@@ -131,36 +132,100 @@ BM_SchedulerReplayDmaBound(benchmark::State &state)
     replayEdges(state, true);
 }
 
+/** The real launches the kernel-trace benchmarks time: a PlusTimes
+ * kernel (arg 0 = CSC-2D, 1 = DCOO-2D) on a 20k-vertex scale-free
+ * graph at 64 DPUs, with a tenth of the input entries set. */
+struct KernelLaunch
+{
+    core::KernelVariant variant;
+    sparse::CooMatrix<float> adj;
+    sparse::SparseVector<float> x;
+    upmem::SystemConfig sysCfg;
+
+    explicit KernelLaunch(const benchmark::State &state)
+        : variant(state.range(0) == 0 ? core::KernelVariant::SpmspvCsc2d
+                                      : core::KernelVariant::SpmvDcoo2d),
+          adj(graph()), x(adj.numRows())
+    {
+        for (NodeId i = 0; i < adj.numRows(); i += 10)
+            x.append(i, 1.0f);
+        sysCfg.numDpus = 64;
+    }
+
+    static sparse::CooMatrix<float>
+    graph()
+    {
+        Rng rng(1);
+        return sparse::edgeListToSymmetricCoo(
+            sparse::generateScaleMatched(20'000, 10, 30, rng));
+    }
+};
+
 /**
- * Traces of one real launch: a PlusTimes kernel of `variant` on a
- * scale-free graph at 64 DPUs, with a tenth of the input entries set.
- * The traces are captured once, with replay off, and then replayed
- * each iteration.
+ * Traces of one real launch (KernelLaunch), captured once with replay
+ * off and then replayed each iteration.
  */
 void
 BM_SchedulerReplayKernelTraces(benchmark::State &state)
 {
-    const auto variant = state.range(0) == 0
-        ? core::KernelVariant::SpmspvCsc2d
-        : core::KernelVariant::SpmvDcoo2d;
-    Rng rng(1);
-    const auto adj = sparse::edgeListToSymmetricCoo(
-        sparse::generateScaleMatched(20'000, 10, 30, rng));
-    upmem::SystemConfig sys_cfg;
-    sys_cfg.numDpus = 64;
+    const KernelLaunch launch(state);
     auto capture = std::make_shared<analysis::TraceCapture>();
-    const upmem::UpmemSystem sys(sys_cfg, {capture});
-    sparse::SparseVector<float> x(adj.numRows());
-    for (NodeId i = 0; i < adj.numRows(); i += 10)
-        x.append(i, 1.0f);
-    core::makeKernel<core::PlusTimes>(variant, sys, adj, 64)->run(x);
+    const upmem::UpmemSystem sys(launch.sysCfg, {capture});
+    core::makeKernel<core::PlusTimes>(launch.variant, sys, launch.adj,
+                                      64)
+        ->run(launch.x);
     auto launches = capture->take();
     if (launches.size() != 1) {
         state.SkipWithError("expected exactly one captured launch");
         return;
     }
-    replayLoop(state, sys_cfg.dpu, launches.front().dpuTraces);
-    state.SetLabel(core::kernelVariantName(variant));
+    replayLoop(state, launch.sysCfg.dpu, launches.front().dpuTraces);
+    state.SetLabel(core::kernelVariantName(launch.variant));
+}
+
+/** Counts the trace records every DPU generates and turns the replay
+ * off. */
+class RecordCounter : public upmem::LaunchObserver
+{
+  public:
+    bool replays() const override { return false; }
+
+    void
+    onDpuTraces(unsigned /*dpu*/,
+                const std::vector<upmem::TaskletTrace> &traces,
+                const upmem::DpuConfig & /*cfg*/) override
+    {
+        std::uint64_t n = 0;
+        for (const upmem::TaskletTrace &t : traces)
+            n += t.records().size();
+        records.fetch_add(n, std::memory_order_relaxed);
+    }
+
+    std::atomic<std::uint64_t> records{0};
+};
+
+/**
+ * Trace recording (HostPhase::TraceRecord): the whole real launch
+ * (KernelLaunch) on a system whose only observer turns the replay
+ * off, so the kernels' trace generation is nearly all of the host
+ * time left. Reports trace records per second.
+ */
+void
+BM_TraceRecord(benchmark::State &state)
+{
+    const KernelLaunch launch(state);
+    auto counter = std::make_shared<RecordCounter>();
+    const upmem::UpmemSystem sys(launch.sysCfg, {counter});
+    const auto kernel = core::makeKernel<core::PlusTimes>(
+        launch.variant, sys, launch.adj, 64);
+    for (auto _ : state) {
+        auto result = kernel->run(launch.x);
+        benchmark::DoNotOptimize(result.y.data());
+    }
+    state.counters["records_per_second"] = benchmark::Counter(
+        static_cast<double>(counter->records.load()),
+        benchmark::Counter::kIsRate);
+    state.SetLabel(core::kernelVariantName(launch.variant));
 }
 
 /**
@@ -321,6 +386,7 @@ BENCHMARK(BM_SchedulerReplayDmaBound)->Arg(1 << 8)->Arg(1 << 11)
     ->UseRealTime();
 // 0 = CSC-2D, 1 = DCOO-2D.
 BENCHMARK(BM_SchedulerReplayKernelTraces)->Arg(0)->Arg(1)->UseRealTime();
+BENCHMARK(BM_TraceRecord)->Arg(0)->Arg(1)->UseRealTime();
 // 0 = road_traverse-shaped slots, 1 = dense_ppr-shaped slots.
 BENCHMARK(BM_HostMerge)->Arg(0)->Arg(1)->UseRealTime();
 BENCHMARK(BM_ProfileFold)->Arg(256)->Arg(2048)->UseRealTime();

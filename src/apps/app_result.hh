@@ -2,8 +2,9 @@
  * @file
  * Common result record of an iterative graph application run on the
  * PIM system: per-iteration logs (input density, phase breakdown,
- * kernel choice) plus run totals. Every figure that reports per-
- * iteration or end-to-end application behaviour reads these fields.
+ * kernel choice) plus run totals, which batched multi-source results
+ * share. Every figure that reports per-iteration or end-to-end
+ * application behaviour reads these fields.
  */
 
 #ifndef ALPHA_PIM_APPS_APP_RESULT_HH
@@ -34,8 +35,12 @@ struct IterationLog
     std::uint64_t semiringOps = 0;
 };
 
-/** Aggregate outcome of a graph application run. */
-struct AppResult
+/**
+ * Totals of one run, single-source or batched: the per-iteration
+ * records and their sums. One launch per iteration, whatever the
+ * batch width.
+ */
+struct RunTotals
 {
     /** Per-iteration records in execution order. */
     std::vector<IterationLog> iterations;
@@ -49,21 +54,13 @@ struct AppResult
     /** Total semiring operations across iterations. */
     std::uint64_t totalOps = 0;
 
-    /** True when the algorithm reached its fixpoint. */
+    /** True when the run reached its fixpoint (every lane's, for a
+     * batch). */
     bool converged = false;
 
     /** SpMSpV / SpMV launch counts. */
     unsigned spmspvLaunches = 0;
     unsigned spmvLaunches = 0;
-
-    /** BFS: level per vertex (invalidNode if unreached). */
-    std::vector<std::uint32_t> levels;
-
-    /** SSSP: distance per vertex (+inf if unreached). */
-    std::vector<float> distances;
-
-    /** PPR: rank per vertex. */
-    std::vector<float> ranks;
 
     /** Fold one iteration's record into the totals. */
     void
@@ -79,6 +76,19 @@ struct AppResult
         else
             ++spmspvLaunches;
     }
+};
+
+/** Aggregate outcome of a graph application run. */
+struct AppResult : RunTotals
+{
+    /** BFS: level per vertex (invalidNode if unreached). */
+    std::vector<std::uint32_t> levels;
+
+    /** SSSP: distance per vertex (+inf if unreached). */
+    std::vector<float> distances;
+
+    /** PPR: rank per vertex. */
+    std::vector<float> ranks;
 };
 
 } // namespace alphapim::apps

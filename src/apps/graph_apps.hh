@@ -8,6 +8,11 @@
  * Semirings (Table 1): BFS (or, and); SSSP (min, +); PPR (+, x).
  * Host-side frontier/mask updates and convergence checks are charged
  * to the Merge phase, following the paper's accounting.
+ *
+ * Every application, and the batched runs of multi_source.hh, runs
+ * one iteration loop and differs only in its per-vertex update.
+ * Single-source BFS and SSSP are one-lane batches: the batched
+ * updates, run on the BoolOrAnd and MinPlus engines.
  */
 
 #ifndef ALPHA_PIM_APPS_GRAPH_APPS_HH

@@ -8,11 +8,15 @@
  * vertex (MinPlusLanes: ops scale with lanes, but transfers,
  * traversal, and per-entry bookkeeping are shared).
  *
- * Every lane's result is bit-identical to the corresponding
- * single-source run: unused lanes carry the additive identity, or/min
- * are exact and order-independent, and the float additions pair the
- * exact operands the sequential run pairs. The ctest gate
- * tests/apps/test_multi_source.cc proves this across all four kernel
+ * Single-source BFS and SSSP (graph_apps.hh) are the one-lane case of
+ * these batched updates, run on the BoolOrAnd and MinPlus engines.
+ * Every lane's result is bit-identical to the single-source run from
+ * its source: unused lanes carry the additive identity, or/min are
+ * exact and order-independent, and the float additions pair the
+ * exact operands the one-lane run pairs. Since both runs share one
+ * update, the ctest gate tests/apps/test_multi_source.cc compares
+ * every lane with the host references (referenceBfs, referenceSssp)
+ * as well as with the single-source run, across all four kernel
  * strategies. This module is the batching substrate of the serving
  * subsystem (src/serve/).
  */
@@ -36,11 +40,11 @@ inline constexpr unsigned kSsspLanes = 8;
 using SsspBatchSemiring = core::MinPlusLanes<kSsspLanes>;
 
 /**
- * Outcome of one batched multi-source run. Per-source output columns
- * plus the shared per-iteration phase records (one launch per
- * iteration, regardless of batch width).
+ * Outcome of one batched multi-source run: per-source output columns
+ * plus the run totals, whose per-iteration records are the shared
+ * launches.
  */
-struct MultiSourceResult
+struct MultiSourceResult : RunTotals
 {
     /** The batch's sources, in request order. */
     std::vector<NodeId> sources;
@@ -50,40 +54,6 @@ struct MultiSourceResult
 
     /** SSSP: distances[s][v] = distance of v from sources[s]. */
     std::vector<std::vector<float>> distances;
-
-    /** Per-iteration records in execution order (shared launches). */
-    std::vector<IterationLog> iterations;
-
-    /** Sum of all per-iteration phase times. */
-    core::PhaseTimes total;
-
-    /** Aggregated DPU profile across all launches. */
-    upmem::LaunchProfile profile;
-
-    /** Total semiring operations across iterations. */
-    std::uint64_t totalOps = 0;
-
-    /** True when every lane reached its fixpoint. */
-    bool converged = false;
-
-    /** SpMSpV / SpMV launch counts. */
-    unsigned spmspvLaunches = 0;
-    unsigned spmvLaunches = 0;
-
-    /** Fold one iteration's record into the totals. */
-    void
-    addIteration(const IterationLog &log,
-                 const upmem::LaunchProfile &launch)
-    {
-        iterations.push_back(log);
-        total += log.times;
-        totalOps += log.semiringOps;
-        profile.add(launch);
-        if (log.usedSpmv)
-            ++spmvLaunches;
-        else
-            ++spmspvLaunches;
-    }
 };
 
 /**

@@ -1,5 +1,7 @@
 #include "cli.hh"
 
+#include <charconv>
+
 namespace alphapim
 {
 
@@ -27,11 +29,24 @@ CliArgs::value()
     if (has_inline_)
         return inline_value_.c_str();
     if (i_ + 1 >= argc_) {
-        if (on_missing_)
-            on_missing_(arg_);
+        if (on_bad_value_)
+            on_bad_value_(arg_);
         return "";
     }
     return argv_[++i_];
+}
+
+bool
+CliArgs::parseUnsigned(std::string_view text, std::uint64_t max,
+                       std::uint64_t &out)
+{
+    const char *end = text.data() + text.size();
+    std::uint64_t v = 0;
+    const auto [stop, ec] = std::from_chars(text.data(), end, v);
+    if (ec != std::errc() || stop != end || v > max)
+        return false;
+    out = v;
+    return true;
 }
 
 } // namespace alphapim

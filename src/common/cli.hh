@@ -12,11 +12,17 @@
  * `=value` off the flag token, and hands the value back from either
  * spelling. Flags that treat a bare spelling differently from an
  * inline list (e.g. `--check` vs `--check=race,dma`) branch on
- * hasInlineValue().
+ * hasInlineValue(). Unsigned counts and seeds go through one checked
+ * parse, readUnsigned(), so a negative or malformed number is a usage
+ * error instead of a wrapped or truncated value.
  */
 
+#include <concepts>
+#include <cstdint>
 #include <functional>
+#include <limits>
 #include <string>
+#include <string_view>
 
 namespace alphapim
 {
@@ -27,7 +33,7 @@ namespace alphapim
  *   CliArgs args(argc, argv, [](const std::string &) { usage(); });
  *   while (args.next()) {
  *       if (args.arg() == "--seed")
- *           seed = std::strtoull(args.value(), nullptr, 10);
+ *           args.readUnsigned(seed);
  *       else if (args.isFlag())
  *           usage();
  *       else
@@ -38,15 +44,17 @@ class CliArgs
 {
   public:
     /** Called when a flag needs a value but neither an inline
-     * `=value` nor a following argv token exists. Receives the flag
-     * name; expected not to return (the tools call their
-     * [[noreturn]] usage()), but if it does, value() yields "". */
-    using MissingValueHandler =
+     * `=value` nor a following argv token exists, or when
+     * readUnsigned() rejects the value. Receives the flag name;
+     * expected not to return (the tools call their [[noreturn]]
+     * usage()), but if it does, value() yields "" and readUnsigned()
+     * leaves its target unchanged. */
+    using BadValueHandler =
         std::function<void(const std::string &flag)>;
 
-    CliArgs(int argc, char **argv, MissingValueHandler onMissing)
+    CliArgs(int argc, char **argv, BadValueHandler onBadValue)
         : argc_(argc), argv_(argv),
-          on_missing_(std::move(onMissing))
+          on_bad_value_(std::move(onBadValue))
     {
     }
 
@@ -71,6 +79,25 @@ class CliArgs
      * when neither exists. */
     const char *value();
 
+    /** Read the flag's value into `out`: decimal digits only, and the
+     * number must fit T. Anything else goes to the bad-value
+     * handler. */
+    template <std::unsigned_integral T>
+    void
+    readUnsigned(T &out)
+    {
+        std::uint64_t v = 0;
+        if (parseUnsigned(value(), std::numeric_limits<T>::max(), v))
+            out = static_cast<T>(v);
+        else if (on_bad_value_)
+            on_bad_value_(arg_);
+    }
+
+    /** Parse `text` as a decimal number no larger than `max`: one or
+     * more digits and nothing else (no sign, space or suffix). */
+    static bool parseUnsigned(std::string_view text,
+                              std::uint64_t max, std::uint64_t &out);
+
   private:
     int argc_;
     char **argv_;
@@ -78,7 +105,7 @@ class CliArgs
     std::string arg_;
     std::string inline_value_;
     bool has_inline_ = false;
-    MissingValueHandler on_missing_;
+    BadValueHandler on_bad_value_;
 };
 
 } // namespace alphapim

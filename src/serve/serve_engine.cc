@@ -15,19 +15,15 @@ namespace alphapim::serve
 namespace
 {
 
-/** FNV-1a over a vector's raw element bytes. */
+/** FNV-1a over a vector's raw element bytes. The seed is one digit
+ * short of the FNV-1a offset basis; bench/suite hashes answers with
+ * the same seed and compares them with resultChecksum, so it stays. */
 template <typename T>
 std::uint64_t
 fnvChecksum(const std::vector<T> &v)
 {
-    std::uint64_t h = 1469598103934665603ull;
-    const auto *bytes =
-        reinterpret_cast<const unsigned char *>(v.data());
-    for (std::size_t i = 0; i < v.size() * sizeof(T); ++i) {
-        h ^= bytes[i];
-        h *= 1099511628211ull;
-    }
-    return h;
+    return perf::fnv1a(v.data(), v.size() * sizeof(T),
+                       1469598103934665603ull);
 }
 
 } // namespace
@@ -198,27 +194,23 @@ ServeEngine::serveBatch(const std::vector<PendingQuery> &batch)
     for (const PendingQuery &p : batch)
         start = std::max(start, p.query.arrival);
 
-    core::PhaseTimes service;
-    unsigned iterations = 0;
-    bool converged = false;
+    std::vector<NodeId> sources;
+    sources.reserve(batch.size());
+    for (const PendingQuery &p : batch)
+        sources.push_back(p.query.source);
     std::vector<std::uint64_t> checksums(batch.size(), 0);
+    apps::RunTotals run;
 
     switch (head.algo) {
       case ServeAlgo::Bfs: {
         auto &engine = Dataset::resident<core::BitsOrAnd>(
             ds.bfs, sys_, ds.adjacency, options_.dpus,
             head.strategy);
-        std::vector<NodeId> sources;
-        sources.reserve(batch.size());
-        for (const PendingQuery &p : batch)
-            sources.push_back(p.query.source);
-        const auto r = apps::multiBfsWithEngine(
-            sys_, engine, sources, options_.app);
-        service = r.total;
-        iterations = static_cast<unsigned>(r.iterations.size());
-        converged = r.converged;
+        auto r = apps::multiBfsWithEngine(sys_, engine, sources,
+                                          options_.app);
         for (std::size_t i = 0; i < batch.size(); ++i)
             checksums[i] = fnvChecksum(r.levels[i]);
+        run = std::move(r);
         break;
       }
       case ServeAlgo::Sssp: {
@@ -229,28 +221,20 @@ ServeEngine::serveBatch(const std::vector<PendingQuery> &batch)
             auto &engine = Dataset::resident<core::MinPlus>(
                 ds.ssspSolo, sys_, ds.adjacency, options_.dpus,
                 head.strategy);
-            const auto r = apps::ssspWithEngine(
-                sys_, engine, head.source, options_.app);
-            service = r.total;
-            iterations = static_cast<unsigned>(r.iterations.size());
-            converged = r.converged;
+            auto r = apps::ssspWithEngine(sys_, engine, head.source,
+                                          options_.app);
             checksums[0] = fnvChecksum(r.distances);
+            run = std::move(r);
         } else {
             auto &engine =
                 Dataset::resident<apps::SsspBatchSemiring>(
                     ds.ssspBatch, sys_, ds.adjacency, options_.dpus,
                     head.strategy);
-            std::vector<NodeId> sources;
-            sources.reserve(batch.size());
-            for (const PendingQuery &p : batch)
-                sources.push_back(p.query.source);
-            const auto r = apps::multiSsspWithEngine(
-                sys_, engine, sources, options_.app);
-            service = r.total;
-            iterations = static_cast<unsigned>(r.iterations.size());
-            converged = r.converged;
+            auto r = apps::multiSsspWithEngine(sys_, engine, sources,
+                                               options_.app);
             for (std::size_t i = 0; i < batch.size(); ++i)
                 checksums[i] = fnvChecksum(r.distances[i]);
+            run = std::move(r);
         }
         break;
       }
@@ -258,30 +242,26 @@ ServeEngine::serveBatch(const std::vector<PendingQuery> &batch)
         auto &engine = Dataset::resident<core::PlusTimes>(
             ds.ppr, sys_, ds.normalized, options_.dpus,
             head.strategy);
-        const auto r = apps::pprWithEngine(sys_, engine, head.source,
-                                           options_.app);
-        service = r.total;
-        iterations = static_cast<unsigned>(r.iterations.size());
-        converged = r.converged;
+        auto r = apps::pprWithEngine(sys_, engine, head.source,
+                                     options_.app);
         checksums[0] = fnvChecksum(r.ranks);
+        run = std::move(r);
         break;
       }
       case ServeAlgo::Cc: {
         auto &engine = Dataset::resident<core::MinSelect>(
             ds.cc, sys_, ds.adjacency, options_.dpus,
             head.strategy);
-        const auto r =
-            apps::ccWithEngine(sys_, engine, options_.app);
-        service = r.total;
-        iterations = static_cast<unsigned>(r.iterations.size());
-        converged = r.converged;
+        auto r = apps::ccWithEngine(sys_, engine, options_.app);
         checksums[0] = fnvChecksum(r.levels);
+        run = std::move(r);
         break;
       }
     }
 
-    clock_ = start + service.total();
-    phaseTotals_ += service;
+    const auto iterations = static_cast<unsigned>(run.iterations.size());
+    clock_ = start + run.total.total();
+    phaseTotals_ += run.total;
     servedIterations_ += iterations;
     ++batches_;
     batchedQueries_ += batch.size();
@@ -305,7 +285,7 @@ ServeEngine::serveBatch(const std::vector<PendingQuery> &batch)
         res.finish = clock_;
         res.batchSize = static_cast<unsigned>(batch.size());
         res.iterations = iterations;
-        res.converged = converged;
+        res.converged = run.converged;
         res.resultChecksum = checksums[i];
         latencies_.push_back(res.latency());
         telemetry::metrics().addSample("serve.latency_seconds",

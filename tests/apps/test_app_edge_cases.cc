@@ -74,6 +74,13 @@ TEST(AppEdgeCases, PprZeroIterations)
     const auto result = runPpr(sys, adj, 0, cfg);
     EXPECT_TRUE(result.iterations.empty());
     EXPECT_FLOAT_EQ(result.ranks[0], 1.0f);
+    // Tolerance 0 is fixed-iteration mode: the run counts as
+    // converged even after zero launches.
+    EXPECT_TRUE(result.converged);
+
+    // With a tolerance, zero launches never reach it.
+    cfg.pprTolerance = 1e-4;
+    EXPECT_FALSE(runPpr(sys, adj, 0, cfg).converged);
 }
 
 TEST(AppEdgeCases, PprOnIsolatedSourceKeepsAllMass)

@@ -5,11 +5,14 @@
  * to the corresponding single-source run -- across all four kernel
  * strategies. This is the property that lets the serving subsystem
  * coalesce tenant queries without changing any tenant's answer.
+ * Single-source runs are one-lane batches of the same update, so
+ * every lane is also compared, exactly, with the host reference.
  */
 
 #include <gtest/gtest.h>
 
 #include "apps/multi_source.hh"
+#include "apps/reference_algorithms.hh"
 #include "common/random.hh"
 #include "sparse/generators.hh"
 #include "sparse/graph_stats.hh"
@@ -87,6 +90,8 @@ TEST_P(MultiSourceAcrossStrategies, BfsLanesBitIdenticalToSequential)
         // element.
         EXPECT_EQ(batched.levels[s], solo.levels)
             << "lane " << s << " (source " << sources[s] << ")";
+        EXPECT_EQ(batched.levels[s], referenceBfs(adj, sources[s]))
+            << "lane " << s << " (source " << sources[s] << ")";
     }
 }
 
@@ -107,13 +112,19 @@ TEST_P(MultiSourceAcrossStrategies, SsspLanesBitIdenticalToSequential)
     EXPECT_TRUE(batched.converged);
     for (std::size_t s = 0; s < sources.size(); ++s) {
         const auto solo = runSssp(sys, weighted, sources[s], cfg);
+        // Integer weights make every distance exact in float, so the
+        // reference matches exactly too.
+        const auto reference = referenceSssp(weighted, sources[s]);
         // Bit-identical floats: min is exact and the batched run
         // pairs the same addition operands the sequential run does.
         ASSERT_EQ(batched.distances[s].size(),
                   solo.distances.size());
+        ASSERT_EQ(batched.distances[s].size(), reference.size());
         for (NodeId v = 0; v < solo.distances.size(); ++v) {
             EXPECT_EQ(batched.distances[s][v], solo.distances[v])
                 << "lane " << s << " vertex " << v;
+            EXPECT_EQ(batched.distances[s][v], reference[v])
+                << "lane " << s << " vertex " << v << " (reference)";
         }
     }
 }

@@ -94,11 +94,9 @@ main(int argc, char **argv)
         else if (arg == "--confidence")
             opt.confidence = std::atof(args.value());
         else if (arg == "--resamples")
-            opt.resamples = static_cast<std::size_t>(
-                std::strtoull(args.value(), nullptr, 10));
+            args.readUnsigned(opt.resamples);
         else if (arg == "--seed")
-            opt.bootstrapSeed =
-                std::strtoull(args.value(), nullptr, 10);
+            args.readUnsigned(opt.bootstrapSeed);
         else if (arg == "--wall-gate")
             opt.wallClockGate = true;
         else if (arg == "--host-gate")

@@ -155,14 +155,13 @@ parseCli(int argc, char **argv)
         else if (arg == "--threshold")
             opt.threshold = std::atof(next());
         else if (arg == "--dpus")
-            opt.dpus = static_cast<unsigned>(std::atoi(next()));
+            args.readUnsigned(opt.dpus);
         else if (arg == "--tasklets")
-            opt.tasklets = static_cast<unsigned>(std::atoi(next()));
+            args.readUnsigned(opt.tasklets);
         else if (arg == "--iterations")
-            opt.pprIterations =
-                static_cast<unsigned>(std::atoi(next()));
+            args.readUnsigned(opt.pprIterations);
         else if (arg == "--seed")
-            opt.seed = std::strtoull(next(), nullptr, 10);
+            args.readUnsigned(opt.seed);
         else if (arg == "--source")
             opt.source = std::atol(next());
         else if (arg == "--host-prof") {

@@ -217,24 +217,13 @@ parseArgs(int argc, char **argv)
     Options opt;
     CliArgs args(argc, argv, [](const std::string &flag) {
         std::fprintf(stderr,
-                     "alphapim_modelcheck: %s needs a value\n",
+                     "alphapim_modelcheck: %s: missing or bad value\n",
                      flag.c_str());
         usage();
     });
     while (args.next()) {
         const std::string &arg = args.arg();
         auto next = [&]() -> std::string { return args.value(); };
-        auto nextU64 = [&]() -> std::uint64_t {
-            const std::string v = next();
-            try {
-                return std::stoull(v);
-            } catch (...) {
-                std::fprintf(stderr,
-                             "alphapim_modelcheck: bad number '%s'\n",
-                             v.c_str());
-                usage();
-            }
-        };
 
         if (arg == "--kernels") {
             opt.kernels = true;
@@ -265,19 +254,19 @@ parseArgs(int argc, char **argv)
             else
                 usage();
         } else if (arg == "--dpus") {
-            opt.extract.dpus = static_cast<unsigned>(nextU64());
+            args.readUnsigned(opt.extract.dpus);
         } else if (arg == "--tasklets") {
-            opt.extract.tasklets = static_cast<unsigned>(nextU64());
+            args.readUnsigned(opt.extract.tasklets);
         } else if (arg == "--vertices") {
-            opt.extract.vertices = static_cast<NodeId>(nextU64());
+            args.readUnsigned(opt.extract.vertices);
         } else if (arg == "--edges") {
-            opt.extract.edges = static_cast<EdgeId>(nextU64());
+            args.readUnsigned(opt.extract.edges);
         } else if (arg == "--seed") {
-            opt.extract.seed = nextU64();
+            args.readUnsigned(opt.extract.seed);
         } else if (arg == "--ranks") {
-            opt.proto.ranks = static_cast<unsigned>(nextU64());
+            args.readUnsigned(opt.proto.ranks);
         } else if (arg == "--iterations") {
-            opt.proto.iterations = static_cast<unsigned>(nextU64());
+            args.readUnsigned(opt.proto.iterations);
         } else if (arg == "--inject") {
             const std::string v = next();
             if (v == "drop-load-barrier")
@@ -291,7 +280,7 @@ parseArgs(int argc, char **argv)
             else
                 usage();
         } else if (arg == "--max-states") {
-            opt.maxStates = nextU64();
+            args.readUnsigned(opt.maxStates);
         } else if (arg == "--naive") {
             opt.naive = true;
         } else if (arg == "--compare-naive") {

@@ -127,23 +127,21 @@ parseCli(int argc, char **argv)
         else if (arg == "--rate")
             opt.rate = std::atof(next());
         else if (arg == "--dpus")
-            opt.dpus = static_cast<unsigned>(std::atoi(next()));
+            args.readUnsigned(opt.dpus);
         else if (arg == "--tasklets")
-            opt.tasklets = static_cast<unsigned>(std::atoi(next()));
+            args.readUnsigned(opt.tasklets);
         else if (arg == "--queue-capacity")
-            opt.queueCapacity =
-                static_cast<unsigned>(std::atoi(next()));
+            args.readUnsigned(opt.queueCapacity);
         else if (arg == "--queries")
-            opt.queries = static_cast<unsigned>(std::atoi(next()));
+            args.readUnsigned(opt.queries);
         else if (arg == "--clients")
-            opt.clients = static_cast<unsigned>(std::atoi(next()));
+            args.readUnsigned(opt.clients);
         else if (arg == "--queries-per-client")
-            opt.queriesPerClient =
-                static_cast<unsigned>(std::atoi(next()));
+            args.readUnsigned(opt.queriesPerClient);
         else if (arg == "--tenants")
-            opt.tenants = static_cast<unsigned>(std::atoi(next()));
+            args.readUnsigned(opt.tenants);
         else if (arg == "--seed")
-            opt.seed = std::strtoull(next(), nullptr, 10);
+            args.readUnsigned(opt.seed);
         else if (arg == "--version") {
             std::printf("alphapim_serve %s (%s%s%s)\n",
                         perf::gitSha(), perf::buildType(),
