@@ -70,9 +70,11 @@ parseOptions(int argc, char **argv)
         const std::string &arg = args.arg();
         auto next = [&]() -> const char * { return args.value(); };
         if (arg == "--dpus") {
-            args.readUnsigned(opt.dpus);
+            args.readUnsigned(opt.dpus, 1);
         } else if (arg == "--scale") {
-            opt.scale = std::atof(next());
+            // 0 picks the scale automatically; above 1 clamps.
+            args.readDouble(opt.scale,
+                            [](double v) { return v >= 0.0; });
         } else if (arg == "--edge-target") {
             args.readUnsigned(opt.edgeTarget);
         } else if (arg == "--datasets") {

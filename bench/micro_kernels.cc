@@ -5,8 +5,10 @@
  * SpMSpV-shaped short records with a WRAM or an MRAM accumulator, and
  * on traces captured from real CSC-2D and DCOO-2D launches; trace
  * recording of those launches with replay off; the host merge fold,
- * the profile fold and the transfer model; trace generation,
- * partitioned-block construction, and one full SpMSpV launch. These
+ * the profile fold, the imbalance analysis and the transfer model;
+ * trace generation, the CSC-2D and DCOO-2D partition builds, and one
+ * full SpMSpV launch. Each host phase the profiler names has a
+ * benchmark of the same name. These
  * bound the wall-clock cost of the figure benches; all report wall
  * time, since a launch replays on parallelFor worker threads.
  */
@@ -17,6 +19,7 @@
 #include <memory>
 
 #include "analysis/capture.hh"
+#include "analysis/imbalance.hh"
 #include "common/random.hh"
 #include "core/kernels.hh"
 #include "sparse/generators.hh"
@@ -273,17 +276,13 @@ BM_HostMerge(benchmark::State &state)
     state.SetLabel(dense ? "dense_ppr" : "road_traverse");
 }
 
-/**
- * The serial profile fold alone (HostPhase::ProfileFold):
- * LaunchProfile::add over one launch's per-DPU profiles, as
- * launchKernel folds them after replay. The arg is the DPU count.
- */
-void
-BM_ProfileFold(benchmark::State &state)
+/** One launch's per-DPU profiles: skewed cycles, a fixed stall and
+ * instruction mix, and MRAM traffic. */
+std::vector<upmem::DpuProfile>
+launchProfiles(std::size_t dpus)
 {
     Rng rng(5);
-    std::vector<upmem::DpuProfile> profiles(
-        static_cast<std::size_t>(state.range(0)));
+    std::vector<upmem::DpuProfile> profiles(dpus);
     for (upmem::DpuProfile &p : profiles) {
         p.totalCycles = 20'000 + rng.nextBounded(60'000);
         p.issuedCycles = p.totalCycles / 3;
@@ -295,11 +294,53 @@ BM_ProfileFold(benchmark::State &state)
         p.mramReadBytes = rng.nextBounded(1 << 20);
         p.mramWriteBytes = rng.nextBounded(1 << 18);
     }
+    return profiles;
+}
+
+/**
+ * The serial profile fold alone (HostPhase::ProfileFold):
+ * LaunchProfile::add over one launch's per-DPU profiles, as
+ * launchKernel folds them after replay. The arg is the DPU count.
+ */
+void
+BM_ProfileFold(benchmark::State &state)
+{
+    const std::vector<upmem::DpuProfile> profiles =
+        launchProfiles(static_cast<std::size_t>(state.range(0)));
     for (auto _ : state) {
         upmem::LaunchProfile launch;
         for (const upmem::DpuProfile &p : profiles)
             launch.add(p);
         benchmark::DoNotOptimize(launch);
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations() * profiles.size()));
+}
+
+/**
+ * The imbalance analysis alone (HostPhase::Analysis): one
+ * ImbalanceObserver::onLaunchEnd over a launch's per-DPU profiles,
+ * joined with partition shares, with the metrics registry off. The
+ * arg is the DPU count.
+ */
+void
+BM_Analysis(benchmark::State &state)
+{
+    const std::vector<upmem::DpuProfile> profiles =
+        launchProfiles(static_cast<std::size_t>(state.range(0)));
+    Rng rng(7);
+    std::vector<sparse::PartitionShare> shares(profiles.size());
+    for (sparse::PartitionShare &s : shares) {
+        s.rows = 100 + rng.nextBounded(50);
+        s.nnz = 1'000 + rng.nextBounded(10'000);
+        s.bytes = 12 * s.nnz;
+    }
+    const upmem::LaunchInfo info{"CSC-2D", [&] { return shares; }};
+    const upmem::DpuConfig cfg;
+    analysis::ImbalanceObserver observer;
+    for (auto _ : state) {
+        observer.beginRun(); // keep one launch, not one per iteration
+        observer.onLaunchEnd(info, profiles, cfg);
     }
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations() * profiles.size()));
@@ -350,20 +391,29 @@ BM_SpmspvLaunch(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * adj.nnz());
 }
 
+/**
+ * Kernel construction alone (HostPhase::PartitionBuild): the 2D grid
+ * and its blocks at 256 DPUs on a 20k-vertex graph, the work the two
+ * PimEngine kernel constructors time. Arg 0 is the CSC-2D
+ * (column-major) build, arg 1 the DCOO-2D (row-major) one.
+ */
 void
-BM_GridPartitioning(benchmark::State &state)
+BM_PartitionBuild(benchmark::State &state)
 {
+    const bool row_major = state.range(0) == 1;
     Rng rng(2);
-    const auto list = sparse::generateScaleMatched(
-        static_cast<NodeId>(state.range(0)), 10, 30, rng);
+    const auto list = sparse::generateScaleMatched(20'000, 10, 30, rng);
     const auto adj = sparse::edgeListToSymmetricCoo(list);
     for (auto _ : state) {
         const auto grid = core::makeGrid2d(adj, 256);
         auto blocks = core::buildGridBlocks(
-            adj, grid, core::BlockOrder::ColMajor);
+            adj, grid,
+            row_major ? core::BlockOrder::RowMajor
+                      : core::BlockOrder::ColMajor);
         benchmark::DoNotOptimize(blocks.size());
     }
     state.SetItemsProcessed(state.iterations() * adj.nnz());
+    state.SetLabel(row_major ? "DCOO-2D" : "CSC-2D");
 }
 
 void
@@ -390,9 +440,11 @@ BENCHMARK(BM_TraceRecord)->Arg(0)->Arg(1)->UseRealTime();
 // 0 = road_traverse-shaped slots, 1 = dense_ppr-shaped slots.
 BENCHMARK(BM_HostMerge)->Arg(0)->Arg(1)->UseRealTime();
 BENCHMARK(BM_ProfileFold)->Arg(256)->Arg(2048)->UseRealTime();
+BENCHMARK(BM_Analysis)->Arg(256)->Arg(2048)->UseRealTime();
 BENCHMARK(BM_TransferModel)->Arg(256)->Arg(2048)->UseRealTime();
 BENCHMARK(BM_SpmspvLaunch)->Arg(5'000)->Arg(20'000)->UseRealTime();
-BENCHMARK(BM_GridPartitioning)->Arg(20'000)->UseRealTime();
+// 0 = CSC-2D (column-major), 1 = DCOO-2D (row-major).
+BENCHMARK(BM_PartitionBuild)->Arg(0)->Arg(1)->UseRealTime();
 BENCHMARK(BM_DatasetGeneration)->Arg(50'000)->UseRealTime();
 
 BENCHMARK_MAIN();

@@ -8,112 +8,41 @@ namespace alphapim::analysis
 const char *
 pathPhaseName(PathPhase phase)
 {
-    switch (phase) {
-      case PathPhase::Load:
-        return "load";
-      case PathPhase::Kernel:
-        return "kernel";
-      case PathPhase::Retrieve:
-        return "retrieve";
-      case PathPhase::Merge:
-        return "merge";
-      default:
-        return "other";
-    }
-}
-
-std::size_t
-LaunchDag::addNode(std::string label, PathPhase phase,
-                   Seconds duration, std::size_t launch, int rank)
-{
-    nodes_.push_back(
-        {std::move(label), phase, duration, launch, rank});
-    return nodes_.size() - 1;
-}
-
-void
-LaunchDag::addEdge(std::size_t from, std::size_t to)
-{
-    edges_.emplace_back(from, to);
+    static constexpr const char *names[numPathPhases] = {
+        "load", "kernel", "retrieve", "merge"};
+    return names[static_cast<std::size_t>(phase)];
 }
 
 CriticalPath
-computeCriticalPath(const LaunchDag &dag)
+criticalPath(const std::vector<telemetry::LaunchWindow> &launches)
 {
     CriticalPath path;
-    const std::size_t n = dag.nodes().size();
-    if (n == 0)
-        return path;
-
-    // Adjacency and in-degrees for Kahn's topological order.
-    std::vector<std::vector<std::size_t>> preds(n);
-    std::vector<std::vector<std::size_t>> succs(n);
-    std::vector<std::size_t> indegree(n, 0);
-    for (const auto &[from, to] : dag.edges()) {
-        preds[to].push_back(from);
-        succs[from].push_back(to);
-        ++indegree[to];
-    }
-    std::vector<std::size_t> order;
-    order.reserve(n);
-    std::vector<std::size_t> ready;
-    for (std::size_t i = 0; i < n; ++i)
-        if (indegree[i] == 0)
-            ready.push_back(i);
-    while (!ready.empty()) {
-        // Smallest index first: deterministic order.
-        const auto it = std::min_element(ready.begin(), ready.end());
-        const std::size_t node = *it;
-        ready.erase(it);
-        order.push_back(node);
-        for (const std::size_t next : succs[node])
-            if (--indegree[next] == 0)
-                ready.push_back(next);
-    }
-    if (order.size() != n)
-        return path; // cyclic input: no meaningful answer
-
-    // Longest path; ties broken toward the smaller predecessor.
-    std::vector<Seconds> finish(n, 0.0);
-    std::vector<std::size_t> via(n, static_cast<std::size_t>(-1));
-    for (const std::size_t node : order) {
-        Seconds best = 0.0;
-        std::size_t best_pred = static_cast<std::size_t>(-1);
-        for (const std::size_t pred : preds[node]) {
-            if (finish[pred] > best ||
-                (finish[pred] == best &&
-                 (best_pred == static_cast<std::size_t>(-1) ||
-                  pred < best_pred))) {
-                best = finish[pred];
-                best_pred = pred;
+    Seconds end = 0.0;
+    Seconds sums[numPathPhases] = {};
+    std::size_t count = 0;
+    for (const telemetry::LaunchWindow &l : launches) {
+        const Seconds phases[numPathPhases] = {l.load, l.kernel_time,
+                                               l.retrieve, l.merge};
+        for (std::size_t p = 0; p < numPathPhases; ++p) {
+            end += phases[p];
+            sums[p] += phases[p];
+            ++count;
+            // The path starts at the first phase and ends at the first
+            // one that reaches its final length; trailing phases that
+            // add no time are not on it.
+            if (count == 1 || end > path.length) {
+                path.length = end;
+                path.nodes = count;
+                std::copy(sums, sums + numPathPhases,
+                          path.phaseSeconds);
             }
         }
-        finish[node] = best + dag.nodes()[node].duration;
-        via[node] = best_pred;
-    }
-    std::size_t tail = 0;
-    for (std::size_t i = 1; i < n; ++i)
-        if (finish[i] > finish[tail])
-            tail = i;
-
-    std::vector<std::size_t> chain;
-    for (std::size_t node = tail;
-         node != static_cast<std::size_t>(-1); node = via[node])
-        chain.push_back(node);
-    std::reverse(chain.begin(), chain.end());
-
-    path.length = finish[tail];
-    path.nodes = std::move(chain);
-    for (const std::size_t node : path.nodes) {
-        const DagNode &d = dag.nodes()[node];
-        path.phaseSeconds[static_cast<std::size_t>(d.phase)] +=
-            d.duration;
     }
     return path;
 }
 
 WhatIf
-estimateOverlap(const std::vector<LaunchPhases> &launches)
+estimateOverlap(const std::vector<telemetry::LaunchWindow> &launches)
 {
     WhatIf w;
     if (launches.empty())
@@ -122,11 +51,11 @@ estimateOverlap(const std::vector<LaunchPhases> &launches)
     Seconds sum_kernel = 0.0;
     Seconds sum_transfer = 0.0;
     Seconds sum_merge = 0.0;
-    for (const LaunchPhases &l : launches) {
+    for (const telemetry::LaunchWindow &l : launches) {
         w.serialSeconds += l.total();
         w.rankOverlapSeconds +=
-            std::max(l.kernel, l.load + l.retrieve) + l.merge;
-        sum_kernel += l.kernel;
+            std::max(l.kernel_time, l.load + l.retrieve) + l.merge;
+        sum_kernel += l.kernel_time;
         sum_transfer += l.load + l.retrieve;
         sum_merge += l.merge;
     }
@@ -136,7 +65,7 @@ estimateOverlap(const std::vector<LaunchPhases> &launches)
     w.doubleBufferSeconds = launches.front().load;
     for (std::size_t k = 0; k < launches.size(); ++k) {
         w.doubleBufferSeconds +=
-            launches[k].kernel + launches[k].retrieve;
+            launches[k].kernel_time + launches[k].retrieve;
         if (k + 1 < launches.size())
             w.doubleBufferSeconds += std::max(
                 launches[k].merge, launches[k + 1].load);
@@ -147,121 +76,6 @@ estimateOverlap(const std::vector<LaunchPhases> &launches)
     w.combinedSeconds =
         std::max({sum_kernel, sum_transfer, sum_merge});
     return w;
-}
-
-std::vector<LaunchPhases>
-launchPhases(const telemetry::Timeline &timeline)
-{
-    std::vector<LaunchPhases> out;
-    out.reserve(timeline.launches.size());
-    for (const telemetry::LaunchWindow &l : timeline.launches) {
-        LaunchPhases p;
-        p.load = l.load;
-        p.kernel = l.kernel_time;
-        p.retrieve = l.retrieve;
-        p.merge = l.merge;
-        out.push_back(p);
-    }
-    return out;
-}
-
-namespace
-{
-
-/** Launch index owning model time `t`; npos when between launches. */
-std::size_t
-launchAt(const std::vector<telemetry::LaunchWindow> &launches,
-         Seconds t)
-{
-    for (std::size_t k = launches.size(); k-- > 0;) {
-        if (launches[k].start <= t && t <= launches[k].end())
-            return k;
-    }
-    return static_cast<std::size_t>(-1);
-}
-
-} // namespace
-
-LaunchDag
-buildLaunchDag(const telemetry::Timeline &timeline)
-{
-    LaunchDag dag;
-    const auto &launches = timeline.launches;
-    if (launches.empty())
-        return dag;
-
-    // Phase spine: load -> kernel -> retrieve -> merge per launch,
-    // chained across launches. Zero-duration phases stay as nodes so
-    // the chain structure is uniform.
-    struct Spine
-    {
-        std::size_t load, kernel, retrieve, merge;
-    };
-    std::vector<Spine> spine(launches.size());
-    for (std::size_t k = 0; k < launches.size(); ++k) {
-        const std::string tag = "#" + std::to_string(k);
-        spine[k].load = dag.addNode("load" + tag, PathPhase::Load,
-                                    launches[k].load, k);
-        spine[k].kernel = dag.addNode(
-            "kernel" + tag, PathPhase::Kernel,
-            launches[k].kernel_time, k);
-        spine[k].retrieve =
-            dag.addNode("retrieve" + tag, PathPhase::Retrieve,
-                        launches[k].retrieve, k);
-        spine[k].merge = dag.addNode(
-            "merge" + tag, PathPhase::Merge, launches[k].merge, k);
-        dag.addEdge(spine[k].load, spine[k].kernel);
-        dag.addEdge(spine[k].kernel, spine[k].retrieve);
-        dag.addEdge(spine[k].retrieve, spine[k].merge);
-        if (k > 0)
-            dag.addEdge(spine[k - 1].merge, spine[k].load);
-    }
-
-    // Per-rank transfer detail: scatter/broadcast bus spans depend
-    // on the previous merge and gate the kernel; gather spans depend
-    // on the kernel and gate the merge. Their bus time is bounded by
-    // the enclosing phase, so the spine stays critical -- the detail
-    // nodes carry the per-rank attribution.
-    for (const auto &[rank, spans] : timeline.rankSpans) {
-        for (const telemetry::TimelineSpan &s : spans) {
-            const std::size_t k = launchAt(launches, s.mid());
-            if (k == static_cast<std::size_t>(-1))
-                continue;
-            const bool gather = s.name == "gather";
-            const std::size_t node = dag.addNode(
-                s.name + "#" + std::to_string(k) + "/r" +
-                    std::to_string(rank),
-                gather ? PathPhase::Retrieve : PathPhase::Load,
-                s.duration, k, static_cast<int>(rank));
-            if (gather) {
-                dag.addEdge(spine[k].kernel, node);
-                dag.addEdge(node, spine[k].merge);
-            } else {
-                if (k > 0)
-                    dag.addEdge(spine[k - 1].merge, node);
-                dag.addEdge(node, spine[k].kernel);
-            }
-        }
-    }
-
-    // Per-DPU kernel detail: gated by the launch's load, gating its
-    // retrieve. Bounded by the kernel phase (launch overhead + max
-    // cycles), so again never longer than the spine.
-    for (const auto &[dpu, spans] : timeline.dpuSpans) {
-        for (const telemetry::TimelineSpan &s : spans) {
-            const std::size_t k = launchAt(launches, s.mid());
-            if (k == static_cast<std::size_t>(-1))
-                continue;
-            const std::size_t node = dag.addNode(
-                "dpu" + std::to_string(dpu) + "#" +
-                    std::to_string(k),
-                PathPhase::Kernel, s.duration, k,
-                static_cast<int>(dpu));
-            dag.addEdge(spine[k].load, node);
-            dag.addEdge(node, spine[k].retrieve);
-        }
-    }
-    return dag;
 }
 
 } // namespace alphapim::analysis

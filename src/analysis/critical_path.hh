@@ -1,16 +1,19 @@
 /**
  * @file
- * Launch dependency DAG and critical-path extraction, plus the
- * what-if overlap estimator that sizes ROADMAP item 1 (async
- * pipelined execution) before any engine code changes.
+ * Critical path of a reconstructed launch sequence, plus the what-if
+ * overlap estimator that sizes pipelined execution before any engine
+ * code changes.
  *
- * The DAG mirrors the execution model: every launch is a
- * load -> kernel -> retrieve -> merge spine with strict barriers,
- * chained merge_{k-1} -> load_k across iterations; per-rank transfer
- * spans and per-DPU kernel spans hang off the spine in parallel.
- * The critical path through that DAG *is* the serial model time --
- * the interesting output is the per-phase attribution and how much
- * of the path the what-if bounds could hide:
+ * The simulator runs every launch as load -> kernel -> retrieve ->
+ * merge with strict barriers, and launch k+1 starts when launch k's
+ * merge ends. Under that schedule the critical path *is* the chain
+ * of launch phases: a per-rank transfer span never outlasts its phase
+ * (the phase adds launch latency and per-DPU setup to the bus time),
+ * and a per-DPU kernel span never outlasts the kernel phase (which
+ * adds the launch overhead to the slowest DPU). So the path is the
+ * running sum of the launch windows, and the interesting output is
+ * the per-phase attribution and how much of the path the what-if
+ * bounds could hide:
  *
  *  - rank overlap:    kernel k runs concurrently with its own
  *                     load + retrieve (rank i's kernel under rank
@@ -26,13 +29,17 @@
  *
  * All three are Amdahl-style lower bounds on time (upper bounds on
  * speedup); combined <= rank overlap <= serial always holds.
+ *
+ * Once the phases overlap, the chain stops being the critical path.
+ * What measures such a schedule is the timeline itself: its window,
+ * its transfer/kernel overlap fraction (telemetry::computeStats) and
+ * how close the window comes to these what-if bounds.
  */
 
 #ifndef ALPHA_PIM_ANALYSIS_CRITICAL_PATH_HH
 #define ALPHA_PIM_ANALYSIS_CRITICAL_PATH_HH
 
-#include <cstdint>
-#include <string>
+#include <cstddef>
 #include <vector>
 
 #include "common/types.hh"
@@ -41,65 +48,29 @@
 namespace alphapim::analysis
 {
 
-/** Phase bucket of one DAG node. */
+/** The four launch phases, in execution order. */
 enum class PathPhase
 {
     Load,
     Kernel,
     Retrieve,
     Merge,
-    Other,
 };
 
-inline constexpr std::size_t numPathPhases = 5;
+inline constexpr std::size_t numPathPhases = 4;
 
 /** Stable lowercase name ("load", "kernel", ...). */
 const char *pathPhaseName(PathPhase phase);
 
-/** One node of the launch dependency DAG. */
-struct DagNode
-{
-    std::string label;
-    PathPhase phase = PathPhase::Other;
-    Seconds duration = 0.0;
-    std::size_t launch = 0; ///< owning launch index
-    int rank = -1;          ///< rank/DPU detail nodes; -1 for spine
-};
-
-/** A launch dependency DAG. Nodes are added explicitly (synthetic
- * test fixtures) or via buildLaunchDag (reconstructed timelines);
- * edges must be acyclic. */
-class LaunchDag
-{
-  public:
-    /** Add a node; returns its index. */
-    std::size_t addNode(std::string label, PathPhase phase,
-                        Seconds duration, std::size_t launch = 0,
-                        int rank = -1);
-
-    /** Add a dependency edge `from` -> `to`. */
-    void addEdge(std::size_t from, std::size_t to);
-
-    const std::vector<DagNode> &nodes() const { return nodes_; }
-
-    const std::vector<std::pair<std::size_t, std::size_t>> &
-    edges() const
-    {
-        return edges_;
-    }
-
-  private:
-    std::vector<DagNode> nodes_;
-    std::vector<std::pair<std::size_t, std::size_t>> edges_;
-};
-
-/** The longest (time-weighted) path through a LaunchDag. */
+/** The critical path of a launch sequence. */
 struct CriticalPath
 {
     Seconds length = 0.0;
 
-    /** Node indices along the path, in execution order. */
-    std::vector<std::size_t> nodes;
+    /** Phases on the path: the chain up to the first phase that
+     * reaches the final length, so 4 x launches unless the last
+     * phases took no time. */
+    std::size_t nodes = 0;
 
     /** Path time attributed to each PathPhase (index by the enum). */
     Seconds phaseSeconds[numPathPhases] = {};
@@ -121,23 +92,10 @@ struct CriticalPath
     }
 };
 
-/** Longest path via topological order; deterministic tie-breaking
- * (smaller node index wins). Empty DAGs yield an empty path. */
-CriticalPath computeCriticalPath(const LaunchDag &dag);
-
-/** Per-launch phase durations, the input to the what-if bounds. */
-struct LaunchPhases
-{
-    Seconds load = 0.0;
-    Seconds kernel = 0.0;
-    Seconds retrieve = 0.0;
-    Seconds merge = 0.0;
-
-    Seconds total() const
-    {
-        return load + kernel + retrieve + merge;
-    }
-};
+/** Walk each launch's load, kernel, retrieve and merge in order.
+ * An empty launch list yields an empty path. */
+CriticalPath
+criticalPath(const std::vector<telemetry::LaunchWindow> &launches);
 
 /** What-if overlap bounds (seconds and speedups vs serial). */
 struct WhatIf
@@ -147,40 +105,20 @@ struct WhatIf
     Seconds doubleBufferSeconds = 0.0;
     Seconds combinedSeconds = 0.0;
 
+    /** Serial time over `seconds`; 1.0 when `seconds` is 0. */
     double
-    rankOverlapSpeedup() const
+    speedup(Seconds seconds) const
     {
-        return rankOverlapSeconds > 0.0
-            ? serialSeconds / rankOverlapSeconds
-            : 1.0;
+        return seconds > 0.0 ? serialSeconds / seconds : 1.0;
     }
-    double
-    doubleBufferSpeedup() const
-    {
-        return doubleBufferSeconds > 0.0
-            ? serialSeconds / doubleBufferSeconds
-            : 1.0;
-    }
-    double
-    combinedSpeedup() const
-    {
-        return combinedSeconds > 0.0
-            ? serialSeconds / combinedSeconds
-            : 1.0;
-    }
+    double rankOverlapSpeedup() const { return speedup(rankOverlapSeconds); }
+    double doubleBufferSpeedup() const { return speedup(doubleBufferSeconds); }
+    double combinedSpeedup() const { return speedup(combinedSeconds); }
 };
 
 /** Evaluate the three overlap bounds for a launch sequence. */
-WhatIf estimateOverlap(const std::vector<LaunchPhases> &launches);
-
-/** Phase breakdown of every launch in a reconstructed timeline. */
-std::vector<LaunchPhases>
-launchPhases(const telemetry::Timeline &timeline);
-
-/** Build the launch dependency DAG of a reconstructed timeline:
- * the phase spine per launch with iteration chaining, plus per-rank
- * scatter/broadcast/gather and per-DPU kernel detail nodes. */
-LaunchDag buildLaunchDag(const telemetry::Timeline &timeline);
+WhatIf
+estimateOverlap(const std::vector<telemetry::LaunchWindow> &launches);
 
 } // namespace alphapim::analysis
 

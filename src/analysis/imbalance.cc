@@ -218,9 +218,15 @@ RunImbalance
 ImbalanceObserver::collectRun() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
+    return foldRun(launches_);
+}
+
+RunImbalance
+foldRun(const std::vector<LaunchImbalance> &launches)
+{
     RunImbalance run;
-    run.launches = launches_.size();
-    if (launches_.empty())
+    run.launches = launches.size();
+    if (launches.empty())
         return run;
 
     double sum_max_cycles = 0.0;
@@ -231,7 +237,7 @@ ImbalanceObserver::collectRun() const
     double clock = 0.0;
     WeightedMean gini, cov, p99, nnz_gini, nnz_max;
     const LaunchImbalance *worst = nullptr;
-    for (const auto &li : launches_) {
+    for (const auto &li : launches) {
         // Weight each launch by its total DPU-cycles of work so big
         // launches dominate the run-level skew averages.
         const double work =
@@ -282,7 +288,7 @@ ImbalanceObserver::collectRun() const
     if (run.kernelSeconds > 0.0)
         run.roofline.achievedOpsPerSec = total_instr / run.kernelSeconds;
     run.roofline.memoryBoundFraction =
-        memory_bound / static_cast<double>(launches_.size());
+        memory_bound / static_cast<double>(launches.size());
     return run;
 }
 

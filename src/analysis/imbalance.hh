@@ -286,6 +286,11 @@ computeLaunchImbalance(const std::string &kernel,
                        const std::vector<sparse::PartitionShare> &shares,
                        const upmem::DpuConfig &cfg);
 
+/** Aggregate per-launch analytics into the run summary: the fold
+ * collectRun() applies to the observed launches, and
+ * alphapim_explain to the launches it rebuilds from a trace. */
+RunImbalance foldRun(const std::vector<LaunchImbalance> &launches);
+
 /**
  * Imbalance observer: one LaunchImbalance per observed launch.
  * beginRun() / collectRun() bracket a measured region (the bench

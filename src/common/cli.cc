@@ -1,6 +1,7 @@
 #include "cli.hh"
 
 #include <charconv>
+#include <cmath>
 
 namespace alphapim
 {
@@ -44,6 +45,18 @@ CliArgs::parseUnsigned(std::string_view text, std::uint64_t max,
     std::uint64_t v = 0;
     const auto [stop, ec] = std::from_chars(text.data(), end, v);
     if (ec != std::errc() || stop != end || v > max)
+        return false;
+    out = v;
+    return true;
+}
+
+bool
+CliArgs::parseDouble(std::string_view text, double &out)
+{
+    const char *end = text.data() + text.size();
+    double v = 0.0;
+    const auto [stop, ec] = std::from_chars(text.data(), end, v);
+    if (ec != std::errc() || stop != end || !std::isfinite(v))
         return false;
     out = v;
     return true;

@@ -12,9 +12,11 @@
  * `=value` off the flag token, and hands the value back from either
  * spelling. Flags that treat a bare spelling differently from an
  * inline list (e.g. `--check` vs `--check=race,dma`) branch on
- * hasInlineValue(). Unsigned counts and seeds go through one checked
- * parse, readUnsigned(), so a negative or malformed number is a usage
- * error instead of a wrapped or truncated value.
+ * hasInlineValue(). Numeric flags go through one checked parse each,
+ * readUnsigned() for counts and seeds and readDouble() for scales,
+ * rates and fractions, and name the range their consumer accepts, so
+ * a malformed or out-of-range number is a usage error instead of a
+ * wrapped, truncated or zero value reaching an assertion.
  */
 
 #include <concepts>
@@ -23,6 +25,7 @@
 #include <limits>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 namespace alphapim
 {
@@ -34,6 +37,8 @@ namespace alphapim
  *   while (args.next()) {
  *       if (args.arg() == "--seed")
  *           args.readUnsigned(seed);
+ *       else if (args.arg() == "--dpus")
+ *           args.readUnsigned(dpus, 1);
  *       else if (args.isFlag())
  *           usage();
  *       else
@@ -45,10 +50,10 @@ class CliArgs
   public:
     /** Called when a flag needs a value but neither an inline
      * `=value` nor a following argv token exists, or when
-     * readUnsigned() rejects the value. Receives the flag name;
-     * expected not to return (the tools call their [[noreturn]]
-     * usage()), but if it does, value() yields "" and readUnsigned()
-     * leaves its target unchanged. */
+     * readUnsigned() or readDouble() rejects the value. Receives the
+     * flag name; expected not to return (the tools call their
+     * [[noreturn]] usage()), but if it does, value() yields "" and
+     * the read leaves its target unchanged. */
     using BadValueHandler =
         std::function<void(const std::string &flag)>;
 
@@ -80,15 +85,31 @@ class CliArgs
     const char *value();
 
     /** Read the flag's value into `out`: decimal digits only, and the
-     * number must fit T. Anything else goes to the bad-value
-     * handler. */
+     * number must lie in [min, max], by default anything that fits
+     * T. Anything else goes to the bad-value handler. */
     template <std::unsigned_integral T>
     void
-    readUnsigned(T &out)
+    readUnsigned(T &out, std::type_identity_t<T> min = 0,
+                 std::type_identity_t<T> max =
+                     std::numeric_limits<T>::max())
     {
         std::uint64_t v = 0;
-        if (parseUnsigned(value(), std::numeric_limits<T>::max(), v))
+        if (parseUnsigned(value(), max, v) && v >= min)
             out = static_cast<T>(v);
+        else if (on_bad_value_)
+            on_bad_value_(arg_);
+    }
+
+    /** Read the flag's value into `out`: the whole token must be a
+     * finite number for which `inRange` holds. Anything else goes to
+     * the bad-value handler. */
+    template <std::predicate<double> InRange>
+    void
+    readDouble(double &out, InRange inRange)
+    {
+        double v = 0.0;
+        if (parseDouble(value(), v) && inRange(v))
+            out = v;
         else if (on_bad_value_)
             on_bad_value_(arg_);
     }
@@ -97,6 +118,11 @@ class CliArgs
      * more digits and nothing else (no sign, space or suffix). */
     static bool parseUnsigned(std::string_view text,
                               std::uint64_t max, std::uint64_t &out);
+
+    /** Parse `text` as a finite decimal floating-point number ("0.5",
+     * "-2", "1e-3"): the whole token, with no leading '+', space,
+     * suffix, infinity or NaN. */
+    static bool parseDouble(std::string_view text, double &out);
 
   private:
     int argc_;

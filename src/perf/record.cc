@@ -302,14 +302,11 @@ summarizeTimeline(const telemetry::Timeline &timeline,
     s.overlapFraction = stats.overlapFraction;
     s.idleFraction = stats.idleFraction;
 
-    const analysis::LaunchDag dag =
-        analysis::buildLaunchDag(timeline);
-    const analysis::CriticalPath path =
-        analysis::computeCriticalPath(dag);
-    s.transferCriticalFraction = path.transferFraction();
+    s.transferCriticalFraction =
+        analysis::criticalPath(timeline.launches).transferFraction();
 
     const analysis::WhatIf whatif =
-        analysis::estimateOverlap(analysis::launchPhases(timeline));
+        analysis::estimateOverlap(timeline.launches);
     s.whatifRankOverlapSpeedup = whatif.rankOverlapSpeedup();
     s.whatifDoubleBufferSpeedup = whatif.doubleBufferSpeedup();
     s.whatifCombinedSpeedup = whatif.combinedSpeedup();

@@ -17,6 +17,8 @@ ServeQuery
 makeQuery(SplitMix64 &rng, const LoadGenOptions &opt,
           NodeId numVertices, unsigned tenant)
 {
+    ALPHA_ASSERT(opt.tenants > 0,
+                 "load generator needs at least one tenant");
     ServeQuery q;
     q.tenant = "tenant" + std::to_string(tenant % opt.tenants);
     q.dataset = opt.dataset;

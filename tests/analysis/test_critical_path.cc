@@ -1,10 +1,10 @@
 /**
  * @file
- * Critical-path and what-if estimator tests against hand-computed
- * DAGs: a diamond with a known longest path, deterministic
- * tie-breaking, the launch-spine DAG of a synthetic timeline whose
- * attribution must sum to total model time, and the three overlap
- * bounds evaluated on pencil-and-paper launch sequences.
+ * Critical-path and what-if estimator tests: the launch chain of a
+ * synthetic timeline, whose attribution must sum to total model
+ * time, where the path ends when the last phases take no time, and
+ * the three overlap bounds evaluated on pencil-and-paper launch
+ * sequences.
  */
 
 #include <vector>
@@ -64,96 +64,60 @@ twoLaunchTimeline()
     return buildTimeline(spans);
 }
 
+/** A launch window with the given phase durations. */
+LaunchWindow
+window(Seconds load, Seconds kernel, Seconds retrieve, Seconds merge)
+{
+    LaunchWindow l;
+    l.load = load;
+    l.kernel_time = kernel;
+    l.retrieve = retrieve;
+    l.merge = merge;
+    return l;
+}
+
 } // namespace
 
-TEST(CriticalPath, EmptyDagYieldsEmptyPath)
+TEST(CriticalPath, EmptyLaunchListYieldsEmptyPath)
 {
-    const CriticalPath path = computeCriticalPath(LaunchDag{});
+    const CriticalPath path = criticalPath({});
     EXPECT_DOUBLE_EQ(path.length, 0.0);
-    EXPECT_TRUE(path.nodes.empty());
+    EXPECT_EQ(path.nodes, 0u);
     EXPECT_DOUBLE_EQ(path.transferFraction(), 0.0);
-}
-
-TEST(CriticalPath, DiamondPicksTheLongerArm)
-{
-    // A(2) -> {B(3), C(4)} -> D(1): the longest path is A,C,D = 7.
-    LaunchDag dag;
-    const auto a = dag.addNode("A", PathPhase::Load, 2.0);
-    const auto b = dag.addNode("B", PathPhase::Kernel, 3.0);
-    const auto c = dag.addNode("C", PathPhase::Kernel, 4.0);
-    const auto d = dag.addNode("D", PathPhase::Merge, 1.0);
-    dag.addEdge(a, b);
-    dag.addEdge(a, c);
-    dag.addEdge(b, d);
-    dag.addEdge(c, d);
-
-    const CriticalPath path = computeCriticalPath(dag);
-    EXPECT_DOUBLE_EQ(path.length, 7.0);
-    ASSERT_EQ(path.nodes.size(), 3u);
-    EXPECT_EQ(path.nodes[0], a);
-    EXPECT_EQ(path.nodes[1], c);
-    EXPECT_EQ(path.nodes[2], d);
-    EXPECT_DOUBLE_EQ(
-        path.phaseSeconds[static_cast<std::size_t>(PathPhase::Load)],
-        2.0);
-    EXPECT_DOUBLE_EQ(
-        path.phaseSeconds[static_cast<std::size_t>(
-            PathPhase::Kernel)],
-        4.0);
-    EXPECT_DOUBLE_EQ(
-        path.phaseSeconds[static_cast<std::size_t>(PathPhase::Merge)],
-        1.0);
-    EXPECT_DOUBLE_EQ(path.transferFraction(), 2.0 / 7.0);
-}
-
-TEST(CriticalPath, EqualArmsBreakTiesDeterministically)
-{
-    // Both arms weigh 3: the smaller node index must win, every run.
-    LaunchDag dag;
-    const auto a = dag.addNode("A", PathPhase::Load, 1.0);
-    const auto b = dag.addNode("B", PathPhase::Kernel, 3.0);
-    const auto c = dag.addNode("C", PathPhase::Kernel, 3.0);
-    const auto d = dag.addNode("D", PathPhase::Merge, 1.0);
-    dag.addEdge(a, b);
-    dag.addEdge(a, c);
-    dag.addEdge(b, d);
-    dag.addEdge(c, d);
-
-    const CriticalPath path = computeCriticalPath(dag);
-    EXPECT_DOUBLE_EQ(path.length, 5.0);
-    ASSERT_EQ(path.nodes.size(), 3u);
-    EXPECT_EQ(path.nodes[1], b);
 }
 
 TEST(CriticalPath, LaunchSpineAttributionSumsToModelTime)
 {
     const Timeline tl = twoLaunchTimeline();
     ASSERT_EQ(tl.launches.size(), 2u);
-    const LaunchDag dag = buildLaunchDag(tl);
-    const CriticalPath path = computeCriticalPath(dag);
+    const CriticalPath path = criticalPath(tl.launches);
 
     // The spine with strict barriers *is* the serial model time, and
     // the per-phase attribution must account for every second of it.
     EXPECT_NEAR(path.length, tl.accountedSeconds(), 1e-12);
+    EXPECT_EQ(path.nodes, 8u);
     Seconds phase_sum = 0.0;
     for (std::size_t p = 0; p < numPathPhases; ++p)
         phase_sum += path.phaseSeconds[p];
     EXPECT_NEAR(phase_sum, path.length, 1e-12);
+    EXPECT_DOUBLE_EQ(
+        path.phaseSeconds[static_cast<std::size_t>(PathPhase::Kernel)],
+        6.0);
     // load 2 + retrieve 1 of each 10s launch: transfers own 30%.
     EXPECT_NEAR(path.transferFraction(), 0.3, 1e-12);
 }
 
-TEST(CriticalPath, LaunchPhasesMirrorTheTimeline)
+TEST(CriticalPath, TrailingZeroPhasesAreOffThePath)
 {
-    const std::vector<LaunchPhases> phases =
-        launchPhases(twoLaunchTimeline());
-    ASSERT_EQ(phases.size(), 2u);
-    for (const LaunchPhases &p : phases) {
-        EXPECT_DOUBLE_EQ(p.load, 2.0);
-        EXPECT_DOUBLE_EQ(p.kernel, 3.0);
-        EXPECT_DOUBLE_EQ(p.retrieve, 1.0);
-        EXPECT_DOUBLE_EQ(p.merge, 4.0);
-    }
+    // Launch 0 ends in a merge that took no time and launch 1 took
+    // none at all: the path stops at launch 0's retrieve.
+    const std::vector<LaunchWindow> launches{
+        window(2.0, 3.0, 1.0, 0.0), window(0.0, 0.0, 0.0, 0.0)};
+    const CriticalPath path = criticalPath(launches);
+    EXPECT_DOUBLE_EQ(path.length, 6.0);
+    EXPECT_EQ(path.nodes, 3u);
+    EXPECT_DOUBLE_EQ(path.phaseFraction(PathPhase::Merge), 0.0);
+    EXPECT_DOUBLE_EQ(path.transferFraction(), 0.5);
 }
 
 TEST(WhatIf, HandComputedBoundsForTwoLaunches)
@@ -163,8 +127,8 @@ TEST(WhatIf, HandComputedBoundsForTwoLaunches)
     //   rank overlap  = 2 * (max(3, 2+1) + 4)    = 14
     //   double buffer = 2 + 2*(3+1) + max(4,2) + 4 = 18
     //   combined      = max(6, 6, 8)             = 8
-    const std::vector<LaunchPhases> launches(
-        2, LaunchPhases{2.0, 3.0, 1.0, 4.0});
+    const std::vector<LaunchWindow> launches(
+        2, window(2.0, 3.0, 1.0, 4.0));
     const WhatIf w = estimateOverlap(launches);
     EXPECT_DOUBLE_EQ(w.serialSeconds, 20.0);
     EXPECT_DOUBLE_EQ(w.rankOverlapSeconds, 14.0);
@@ -179,8 +143,8 @@ TEST(WhatIf, SingleLaunchHasNoDoubleBufferWin)
 {
     // One launch {1, 2, 3, 4}: nothing to pipeline across
     // iterations, so double buffering changes nothing.
-    const std::vector<LaunchPhases> launches{
-        LaunchPhases{1.0, 2.0, 3.0, 4.0}};
+    const std::vector<LaunchWindow> launches{
+        window(1.0, 2.0, 3.0, 4.0)};
     const WhatIf w = estimateOverlap(launches);
     EXPECT_DOUBLE_EQ(w.serialSeconds, 10.0);
     EXPECT_DOUBLE_EQ(w.rankOverlapSeconds, 8.0);
@@ -201,10 +165,9 @@ TEST(WhatIf, EmptyLaunchSequenceIsNeutral)
 TEST(WhatIf, BoundOrderingAlwaysHolds)
 {
     // combined <= rank overlap <= serial, double buffer <= serial.
-    const std::vector<LaunchPhases> launches{
-        LaunchPhases{0.5, 4.0, 0.25, 1.0},
-        LaunchPhases{2.0, 1.0, 2.0, 0.5},
-        LaunchPhases{1.0, 1.0, 1.0, 1.0}};
+    const std::vector<LaunchWindow> launches{
+        window(0.5, 4.0, 0.25, 1.0), window(2.0, 1.0, 2.0, 0.5),
+        window(1.0, 1.0, 1.0, 1.0)};
     const WhatIf w = estimateOverlap(launches);
     EXPECT_LE(w.combinedSeconds, w.rankOverlapSeconds);
     EXPECT_LE(w.rankOverlapSeconds, w.serialSeconds);

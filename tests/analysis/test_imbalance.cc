@@ -268,6 +268,52 @@ TEST(ImbalanceObserver, CollectRunAggregatesStragglerAndBound)
     EXPECT_EQ(obs.collectRun().launches, 0u);
 }
 
+TEST(ImbalanceObserver, FreeFoldOfLaunchesEqualsCollectRun)
+{
+    ImbalanceObserver obs;
+    obs.onLaunchEnd({},
+                    {dpu(1000, 800, 100, 0, 800, 500),
+                     dpu(1200, 700, 300, 0, 700, 400)},
+                    upmem::DpuConfig{});
+    const upmem::LaunchInfo info{"CSC-2D", [] {
+                                     return std::vector<
+                                         sparse::PartitionShare>{
+                                         share(10, 100, 800),
+                                         share(10, 300, 2400)};
+                                 }};
+    obs.onLaunchEnd(info,
+                    {dpu(1000, 800, 100, 0, 800, 500),
+                     dpu(3000, 900, 2000, 0, 900, 1500)},
+                    upmem::DpuConfig{});
+
+    const RunImbalance a = foldRun(obs.launches());
+    const RunImbalance b = obs.collectRun();
+    EXPECT_EQ(a.launches, b.launches);
+    EXPECT_EQ(a.stragglerFactor, b.stragglerFactor);
+    EXPECT_EQ(a.cyclesGini, b.cyclesGini);
+    EXPECT_EQ(a.cyclesCov, b.cyclesCov);
+    EXPECT_EQ(a.cyclesP99OverMean, b.cyclesP99OverMean);
+    EXPECT_EQ(a.nnzGini, b.nnzGini);
+    EXPECT_EQ(a.nnzMaxOverMean, b.nnzMaxOverMean);
+    EXPECT_EQ(a.stragglerKernel, b.stragglerKernel);
+    EXPECT_EQ(a.stragglerDpu, b.stragglerDpu);
+    EXPECT_EQ(a.stragglerCyclesOverMean, b.stragglerCyclesOverMean);
+    EXPECT_EQ(a.stragglerStall, b.stragglerStall);
+    EXPECT_EQ(a.stragglerStallFraction, b.stragglerStallFraction);
+    EXPECT_EQ(a.stragglerNnzOverMean, b.stragglerNnzOverMean);
+    EXPECT_EQ(a.kernelSeconds, b.kernelSeconds);
+    EXPECT_EQ(a.leveledKernelSeconds, b.leveledKernelSeconds);
+    EXPECT_EQ(a.roofline.opIntensity, b.roofline.opIntensity);
+    EXPECT_EQ(a.roofline.achievedOpsPerSec,
+              b.roofline.achievedOpsPerSec);
+    EXPECT_EQ(a.roofline.pipelineCeilingOpsPerSec,
+              b.roofline.pipelineCeilingOpsPerSec);
+    EXPECT_EQ(a.roofline.ridgeIntensity, b.roofline.ridgeIntensity);
+    EXPECT_EQ(a.roofline.memoryBoundFraction,
+              b.roofline.memoryBoundFraction);
+    EXPECT_EQ(a.stragglerKernel, "CSC-2D");
+}
+
 TEST(ImbalanceObserver, StallNamesMatchUpmemSpellings)
 {
     // Straggler attribution reports the upmem stall spellings.

@@ -1,9 +1,11 @@
 /** @file Command-line scanning: both flag spellings and the checked
- * unsigned parse every count and seed flag goes through. */
+ * unsigned and floating-point parses every numeric flag goes
+ * through, with the range its consumer accepts. */
 
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,11 +17,11 @@ using namespace alphapim;
 namespace
 {
 
-/** Scan `tokens` (argv without the program name), reading every
- * `--n` flag into `out` and recording the flags the handler saw. */
-template <typename T>
+/** Scan `tokens` (argv without the program name), handing every
+ * `--n` flag to `read` and recording the flags the handler saw. */
+template <typename Read>
 std::vector<std::string>
-scan(std::vector<std::string> tokens, T &out)
+scanWith(std::vector<std::string> tokens, Read read)
 {
     tokens.insert(tokens.begin(), "prog");
     std::vector<char *> argv;
@@ -30,9 +32,18 @@ scan(std::vector<std::string> tokens, T &out)
                  [&](const std::string &flag) { bad.push_back(flag); });
     while (args.next()) {
         if (args.arg() == "--n")
-            args.readUnsigned(out);
+            read(args);
     }
     return bad;
+}
+
+/** scanWith() reading `--n` into `out` with readUnsigned(). */
+template <typename T>
+std::vector<std::string>
+scan(std::vector<std::string> tokens, T &out)
+{
+    return scanWith(std::move(tokens),
+                    [&](CliArgs &args) { args.readUnsigned(out); });
 }
 
 bool
@@ -47,6 +58,20 @@ rejects(const char *text, std::uint64_t max)
 {
     std::uint64_t v = 12345;
     return !CliArgs::parseUnsigned(text, max, v) && v == 12345;
+}
+
+bool
+parsesDouble(const char *text, double expect)
+{
+    double v = 12345.0;
+    return CliArgs::parseDouble(text, v) && v == expect;
+}
+
+bool
+rejectsDouble(const char *text)
+{
+    double v = 12345.0;
+    return !CliArgs::parseDouble(text, v) && v == 12345.0;
 }
 
 constexpr std::uint64_t u64Max = std::numeric_limits<std::uint64_t>::max();
@@ -116,4 +141,72 @@ TEST(CliArgs, ReadUnsignedBoundIsTheTargetType)
     EXPECT_EQ(narrow, 255u);
     EXPECT_FALSE(scan({"--n", "256"}, narrow).empty());
     EXPECT_EQ(narrow, 255u);
+}
+
+TEST(CliArgs, ReadUnsignedRangeIsInclusive)
+{
+    unsigned n = 7;
+    const auto read = [&](CliArgs &args) { args.readUnsigned(n, 1, 24); };
+    EXPECT_TRUE(scanWith({"--n", "1"}, read).empty());
+    EXPECT_EQ(n, 1u);
+    EXPECT_TRUE(scanWith({"--n=24"}, read).empty());
+    EXPECT_EQ(n, 24u);
+    for (const char *bad : {"0", "25", "64", "-1"}) {
+        n = 7;
+        EXPECT_EQ(scanWith({"--n", bad}, read),
+                  std::vector<std::string>{"--n"})
+            << bad;
+        EXPECT_EQ(n, 7u) << bad;
+    }
+
+    // A minimum alone keeps the target type's bound as the maximum.
+    std::uint8_t narrow = 3;
+    const auto read_min = [&](CliArgs &args) {
+        args.readUnsigned(narrow, 2);
+    };
+    EXPECT_TRUE(scanWith({"--n", "255"}, read_min).empty());
+    EXPECT_EQ(narrow, 255u);
+    EXPECT_FALSE(scanWith({"--n", "1"}, read_min).empty());
+    EXPECT_FALSE(scanWith({"--n", "256"}, read_min).empty());
+    EXPECT_EQ(narrow, 255u);
+}
+
+TEST(CliParseDouble, AcceptsFiniteNumbers)
+{
+    EXPECT_TRUE(parsesDouble("0", 0.0));
+    EXPECT_TRUE(parsesDouble("0.05", 0.05));
+    EXPECT_TRUE(parsesDouble("1", 1.0));
+    EXPECT_TRUE(parsesDouble("-2.5", -2.5));
+    EXPECT_TRUE(parsesDouble("1e-3", 1e-3));
+    EXPECT_TRUE(parsesDouble(".5", 0.5));
+}
+
+TEST(CliParseDouble, RejectsMalformedAndNonFiniteTokens)
+{
+    for (const char *text : {"abc", "", "7x", "0.5 ", " 0.5", "+1",
+                             "1,5", "0x10", "inf", "-inf", "nan",
+                             "1e999"})
+        EXPECT_TRUE(rejectsDouble(text)) << "'" << text << "'";
+}
+
+TEST(CliArgs, ReadDoubleChecksTheRangeInBothSpellings)
+{
+    double x = 0.25;
+    const auto read = [&](CliArgs &args) {
+        args.readDouble(x, [](double v) { return v > 0.0 && v <= 1.0; });
+    };
+    EXPECT_TRUE(scanWith({"--n", "0.5"}, read).empty());
+    EXPECT_EQ(x, 0.5);
+    EXPECT_TRUE(scanWith({"--n=1"}, read).empty());
+    EXPECT_EQ(x, 1.0);
+    for (const char *bad : {"0", "1.5", "-0.1", "abc", "nan"}) {
+        x = 0.25;
+        EXPECT_EQ(scanWith({"--n", bad}, read),
+                  std::vector<std::string>{"--n"})
+            << bad;
+        EXPECT_EQ(scanWith({std::string("--n=") + bad}, read),
+                  std::vector<std::string>{"--n"})
+            << bad;
+        EXPECT_EQ(x, 0.25) << bad;
+    }
 }

@@ -90,9 +90,12 @@ main(int argc, char **argv)
     while (args.next()) {
         const std::string &arg = args.arg();
         if (arg == "--threshold")
-            opt.threshold = std::atof(args.value());
+            args.readDouble(opt.threshold,
+                            [](double v) { return v >= 0.0; });
         else if (arg == "--confidence")
-            opt.confidence = std::atof(args.value());
+            args.readDouble(opt.confidence, [](double v) {
+                return v > 0.0 && v < 1.0;
+            });
         else if (arg == "--resamples")
             args.readUnsigned(opt.resamples);
         else if (arg == "--seed")

@@ -62,7 +62,7 @@ struct CliOptions
     unsigned tasklets = 16;
     unsigned pprIterations = 20;
     std::uint64_t seed = 42;
-    long source = -1;
+    NodeId source = invalidNode; ///< invalidNode: pick one
     bool profile = false;
     bool compareCpu = false;
     bool validate = false;
@@ -82,11 +82,14 @@ usage()
         "  --algo bfs|sssp|ppr|cc      application (default bfs)\n"
         "  --dataset ABBREV            bundled Table 2 dataset\n"
         "  --mtx FILE                  Matrix Market graph instead\n"
-        "  --scale X                   dataset generation scale\n"
+        "  --scale X                   dataset generation scale,\n"
+        "                              in (0, 1]\n"
         "  --dpus N                    DPUs (default 2048)\n"
-        "  --tasklets N                tasklets per DPU (default 16)\n"
+        "  --tasklets N                tasklets per DPU, 1 to 24\n"
+        "                              (default 16)\n"
         "  --strategy adaptive|spmspv|spmv\n"
-        "  --threshold X               switch density override\n"
+        "  --threshold X               switch density override,\n"
+        "                              in [0, 1]\n"
         "  --source V                  source vertex (default: in\n"
         "                              the largest component)\n"
         "  --iterations N              PPR power iterations\n"
@@ -151,19 +154,24 @@ parseCli(int argc, char **argv)
         else if (arg == "--strategy")
             opt.strategy = next();
         else if (arg == "--scale")
-            opt.scale = std::atof(next());
+            args.readDouble(opt.scale, [](double v) {
+                return v > 0.0 && v <= 1.0;
+            });
         else if (arg == "--threshold")
-            opt.threshold = std::atof(next());
+            args.readDouble(opt.threshold, [](double v) {
+                return v >= 0.0 && v <= 1.0;
+            });
         else if (arg == "--dpus")
-            args.readUnsigned(opt.dpus);
+            args.readUnsigned(opt.dpus, 1);
         else if (arg == "--tasklets")
-            args.readUnsigned(opt.tasklets);
+            args.readUnsigned(opt.tasklets, 1,
+                              upmem::DpuConfig{}.maxTasklets);
         else if (arg == "--iterations")
             args.readUnsigned(opt.pprIterations);
         else if (arg == "--seed")
             args.readUnsigned(opt.seed);
         else if (arg == "--source")
-            opt.source = std::atol(next());
+            args.readUnsigned(opt.source, 0, invalidNode - 1);
         else if (arg == "--host-prof") {
             if (!args.hasInlineValue() ||
                 args.inlineValue() == "on")
@@ -301,8 +309,9 @@ main(int argc, char **argv)
     }
 
     const NodeId source =
-        opt.source >= 0 ? static_cast<NodeId>(opt.source)
-                        : sparse::largestComponentVertex(adjacency);
+        opt.source != invalidNode
+            ? opt.source
+            : sparse::largestComponentVertex(adjacency);
     if (source >= stats.nodes)
         fatal("source vertex out of range");
 

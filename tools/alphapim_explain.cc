@@ -4,8 +4,8 @@
  * artifacts the framework already emits.
  *
  * Trace mode (--trace FILE, a --trace-out Chrome trace):
- * reconstructs the per-rank / per-DPU timeline, extracts the launch
- * dependency DAG and its critical path with per-phase attribution
+ * reconstructs the per-rank / per-DPU timeline, walks the critical
+ * path through the launch phases with per-phase attribution
  * (checked against the accounted model time), reports rank/DPU
  * occupancy, the transfer/kernel overlap fraction, and the what-if
  * overlap bounds; --html FILE additionally renders a self-contained
@@ -131,12 +131,16 @@ parseArgs(int argc, char **argv)
 std::string
 fmt(const char *format, ...)
 {
-    char buf[512];
     va_list args;
     va_start(args, format);
-    std::vsnprintf(buf, sizeof(buf), format, args);
+    va_list sizing;
+    va_copy(sizing, args);
+    const int length = std::vsnprintf(nullptr, 0, format, sizing);
+    va_end(sizing);
+    std::string out(static_cast<std::size_t>(std::max(length, 0)), '\0');
+    std::vsnprintf(out.data(), out.size() + 1, format, args);
     va_end(args);
-    return buf;
+    return out;
 }
 
 /** Everything read back out of one Chrome trace file. */
@@ -242,15 +246,7 @@ loadTraceSpans(const std::string &path, LoadedTrace &lt,
  * ceilings use the default DpuConfig because the machine shape is
  * not recorded in the trace.
  */
-struct TraceImbalance
-{
-    std::vector<analysis::LaunchImbalance> launches;
-    double stragglerFactor = 1.0; ///< summed max / summed mean cycles
-    double leveledSeconds = 0.0;  ///< summed mean cycles / clock
-    double actualSeconds = 0.0;   ///< summed max cycles / clock
-};
-
-TraceImbalance
+std::vector<analysis::LaunchImbalance>
 computeTraceImbalance(const telemetry::Timeline &tl)
 {
     std::map<Seconds,
@@ -261,10 +257,8 @@ computeTraceImbalance(const telemetry::Timeline &tl)
         for (const telemetry::TimelineSpan &s : spans)
             groups[s.start].emplace_back(dpu, &s);
 
-    TraceImbalance out;
+    std::vector<analysis::LaunchImbalance> out;
     const upmem::DpuConfig cfg;
-    double sum_max = 0.0;
-    double sum_mean = 0.0;
     for (const auto &[start, members] : groups) {
         std::vector<upmem::DpuProfile> profiles;
         std::vector<unsigned> track_of;
@@ -273,18 +267,11 @@ computeTraceImbalance(const telemetry::Timeline &tl)
             upmem::DpuProfile p;
             p.totalCycles = static_cast<Cycles>(s->cycles);
             p.issuedCycles = static_cast<Cycles>(s->issued);
-            p.stallCycles[static_cast<std::size_t>(
-                upmem::StallReason::Memory)] =
-                static_cast<Cycles>(s->stallMemory);
-            p.stallCycles[static_cast<std::size_t>(
-                upmem::StallReason::Revolver)] =
-                static_cast<Cycles>(s->stallRevolver);
-            p.stallCycles[static_cast<std::size_t>(
-                upmem::StallReason::RfHazard)] =
-                static_cast<Cycles>(s->stallRfHazard);
-            p.stallCycles[static_cast<std::size_t>(
-                upmem::StallReason::Sync)] =
-                static_cast<Cycles>(s->stallSync);
+            // In upmem::StallReason order.
+            const double stalls[] = {s->stallMemory, s->stallRevolver,
+                                     s->stallRfHazard, s->stallSync};
+            for (std::size_t r = 0; r < std::size(stalls); ++r)
+                p.stallCycles[r] = static_cast<Cycles>(stalls[r]);
             // The trace keeps only the instruction total; the class
             // split matters to neither the skew nor the roofline.
             p.instrByClass[0] =
@@ -304,14 +291,8 @@ computeTraceImbalance(const telemetry::Timeline &tl)
         // Remap the straggler from profile index to DPU track id.
         if (li.stragglerDpu < track_of.size())
             li.stragglerDpu = track_of[li.stragglerDpu];
-        sum_max += li.cycles.max;
-        sum_mean += li.cycles.mean;
-        out.launches.push_back(std::move(li));
+        out.push_back(std::move(li));
     }
-    if (sum_mean > 0.0)
-        out.stragglerFactor = sum_max / sum_mean;
-    out.leveledSeconds = sum_mean / cfg.clockHz;
-    out.actualSeconds = sum_max / cfg.clockHz;
     return out;
 }
 
@@ -322,11 +303,9 @@ struct Analysis
     telemetry::TimelineStats stats;
     analysis::CriticalPath path;
     analysis::WhatIf whatif;
-    TraceImbalance imbalance;
+    std::vector<analysis::LaunchImbalance> imbalance;
     telemetry::HostProfile host;
     std::size_t hostEvents = 0;
-    double accounted = 0.0;
-    double attributionError = 0.0; ///< |path - accounted| / accounted
 
     /** Telemetry-health warnings; rendered in the report header and
      * echoed to stderr (dropped spans / dropped samples). */
@@ -356,15 +335,9 @@ analyze(LoadedTrace lt)
         std::move(lt.spans);
     a.timeline = telemetry::buildTimeline(spans);
     a.stats = telemetry::computeStats(a.timeline);
-    a.path = analysis::computeCriticalPath(
-        analysis::buildLaunchDag(a.timeline));
-    a.whatif = analysis::estimateOverlap(
-        analysis::launchPhases(a.timeline));
+    a.path = analysis::criticalPath(a.timeline.launches);
+    a.whatif = analysis::estimateOverlap(a.timeline.launches);
     a.imbalance = computeTraceImbalance(a.timeline);
-    a.accounted = a.timeline.accountedSeconds();
-    a.attributionError = a.accounted > 0.0
-        ? std::abs(a.path.length - a.accounted) / a.accounted
-        : 0.0;
     return a;
 }
 
@@ -382,22 +355,23 @@ textReport(const std::string &source, const Analysis &a)
         toMillis(s.windowSeconds), s.launches, s.ranks, s.dpus);
 
     out += fmt("critical path: %.3f ms across %zu nodes\n",
-               toMillis(a.path.length), a.path.nodes.size());
+               toMillis(a.path.length), a.path.nodes);
     for (std::size_t p = 0; p < analysis::numPathPhases; ++p) {
         const auto phase = static_cast<analysis::PathPhase>(p);
-        const double seconds = a.path.phaseSeconds[p];
-        if (seconds <= 0.0 && phase == analysis::PathPhase::Other)
-            continue;
         out += fmt("  %-9s %8.3f ms  (%5.1f%% of the path)\n",
-                   analysis::pathPhaseName(phase), toMillis(seconds),
+                   analysis::pathPhaseName(phase),
+                   toMillis(a.path.phaseSeconds[p]),
                    a.path.phaseFraction(phase) * 100.0);
     }
+    const Seconds accounted = a.timeline.accountedSeconds();
+    const double error = accounted > 0.0
+        ? std::abs(a.path.length - accounted) / accounted
+        : 0.0;
     out += fmt(
         "attribution: path %.3f ms vs accounted launch time %.3f "
         "ms -- %.2f%% apart (%s)\n",
-        toMillis(a.path.length), toMillis(a.accounted),
-        a.attributionError * 100.0,
-        a.attributionError <= 0.01 ? "OK" : "MISMATCH");
+        toMillis(a.path.length), toMillis(accounted), error * 100.0,
+        error <= 0.01 ? "OK" : "MISMATCH");
 
     out += fmt(
         "rank occupancy: mean %.1f%%, min %.1f%%; DPU occupancy "
@@ -436,22 +410,24 @@ textReport(const std::string &source, const Analysis &a)
 std::string
 imbalanceReport(const Analysis &a)
 {
-    const TraceImbalance &ti = a.imbalance;
+    const std::vector<analysis::LaunchImbalance> &launches =
+        a.imbalance;
     std::string out;
-    if (ti.launches.empty()) {
+    if (launches.empty()) {
         out += "imbalance: no per-DPU kernel spans in the trace "
                "(recorded before the heatmap args existed?)\n";
         return out;
     }
-    const analysis::LaunchImbalance *worst = &ti.launches.front();
-    for (const analysis::LaunchImbalance &li : ti.launches) {
+    const analysis::RunImbalance run = analysis::foldRun(launches);
+    const analysis::LaunchImbalance *worst = &launches.front();
+    for (const analysis::LaunchImbalance &li : launches) {
         if (li.stragglerCyclesOverMean >
             worst->stragglerCyclesOverMean)
             worst = &li;
     }
     out += fmt(
         "imbalance: %zu launches, run straggler factor %.2fx\n",
-        ti.launches.size(), ti.stragglerFactor);
+        run.launches, run.stragglerFactor);
     out += fmt(
         "  worst launch%s%s: cycles gini %.2f, cov %.2f, p99/mean "
         "%.2fx over %u DPUs\n",
@@ -463,9 +439,10 @@ imbalanceReport(const Analysis &a)
     out += fmt(
         "  rebalance bound: leveled kernel time %.3f ms vs %.3f ms "
         "actual (%.2fx available)\n",
-        toMillis(ti.leveledSeconds), toMillis(ti.actualSeconds),
-        ti.leveledSeconds > 0.0
-            ? ti.actualSeconds / ti.leveledSeconds
+        toMillis(run.leveledKernelSeconds),
+        toMillis(run.kernelSeconds),
+        run.leveledKernelSeconds > 0.0
+            ? run.kernelSeconds / run.leveledKernelSeconds
             : 1.0);
     const analysis::RooflinePoint &rp = worst->roofline;
     out += fmt(
@@ -704,16 +681,16 @@ heatmapSvg(const telemetry::Timeline &tl)
  * MRAM traffic (operational intensity undefined).
  */
 std::string
-rooflineSvg(const TraceImbalance &ti)
+rooflineSvg(const std::vector<analysis::LaunchImbalance> &launches)
 {
     double pipe = 0.0;
     double ridge = 0.0;
-    for (const analysis::LaunchImbalance &li : ti.launches) {
+    for (const analysis::LaunchImbalance &li : launches) {
         pipe = std::max(pipe, li.roofline.pipelineCeilingOpsPerSec);
         ridge = li.roofline.ridgeIntensity;
     }
     bool any_point = false;
-    for (const analysis::LaunchImbalance &li : ti.launches)
+    for (const analysis::LaunchImbalance &li : launches)
         any_point = any_point || li.roofline.opIntensity > 0.0;
     if (!any_point || pipe <= 0.0 || ridge <= 0.0)
         return "";
@@ -764,9 +741,8 @@ rooflineSvg(const TraceImbalance &ti)
                "transform=\"rotate(-90 8 %.0f)\">ops/s "
                "(log)</text>\n",
                top + plotH - 60.0, top + plotH - 60.0);
-    for (std::size_t k = 0; k < ti.launches.size(); ++k) {
-        const analysis::RooflinePoint &rp =
-            ti.launches[k].roofline;
+    for (std::size_t k = 0; k < launches.size(); ++k) {
+        const analysis::RooflinePoint &rp = launches[k].roofline;
         if (rp.opIntensity <= 0.0)
             continue;
         svg += fmt(
@@ -776,7 +752,7 @@ rooflineSvg(const TraceImbalance &ti)
             "</circle>\n",
             k, lx(rp.opIntensity), ly(rp.achievedOpsPerSec),
             rp.memoryBound ? "#dc2626" : "#16a34a",
-            htmlEscape(ti.launches[k].kernel).c_str(),
+            htmlEscape(launches[k].kernel).c_str(),
             rp.opIntensity, rp.achievedOpsPerSec,
             rp.memoryBound ? "memory" : "compute");
     }
@@ -939,7 +915,7 @@ htmlReport(const std::string &source, const Analysis &a)
     }
     html += "<h2>Report</h2>\n<pre>" +
             htmlEscape(textReport(source, a)) + "</pre>\n";
-    if (!a.imbalance.launches.empty()) {
+    if (!a.imbalance.empty()) {
         html += "<h2>Imbalance</h2>\n<pre>" +
                 htmlEscape(imbalanceReport(a)) + "</pre>\n";
     }

@@ -254,19 +254,20 @@ parseArgs(int argc, char **argv)
             else
                 usage();
         } else if (arg == "--dpus") {
-            args.readUnsigned(opt.extract.dpus);
+            args.readUnsigned(opt.extract.dpus, 1);
         } else if (arg == "--tasklets") {
-            args.readUnsigned(opt.extract.tasklets);
+            args.readUnsigned(opt.extract.tasklets, 1,
+                              upmem::DpuConfig{}.maxTasklets);
         } else if (arg == "--vertices") {
-            args.readUnsigned(opt.extract.vertices);
+            args.readUnsigned(opt.extract.vertices, 2);
         } else if (arg == "--edges") {
             args.readUnsigned(opt.extract.edges);
         } else if (arg == "--seed") {
             args.readUnsigned(opt.extract.seed);
         } else if (arg == "--ranks") {
-            args.readUnsigned(opt.proto.ranks);
+            args.readUnsigned(opt.proto.ranks, 1);
         } else if (arg == "--iterations") {
-            args.readUnsigned(opt.proto.iterations);
+            args.readUnsigned(opt.proto.iterations, 1);
         } else if (arg == "--inject") {
             const std::string v = next();
             if (v == "drop-load-barrier")

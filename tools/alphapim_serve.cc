@@ -72,9 +72,11 @@ usage()
         "usage: alphapim_serve [options]\n"
         "  --dataset ABBREV        bundled Table 2 dataset\n"
         "  --mtx FILE              Matrix Market graph instead\n"
-        "  --scale X               dataset generation scale\n"
+        "  --scale X               dataset generation scale, in\n"
+        "                          (0, 1]\n"
         "  --dpus N                DPUs (default 256)\n"
-        "  --tasklets N            tasklets per DPU (default 16)\n"
+        "  --tasklets N            tasklets per DPU, 1 to 24\n"
+        "                          (default 16)\n"
         "  --scheduler fifo|batching\n"
         "  --queue-capacity N      admission bound (default 64)\n"
         "  --mode open|closed      load generation mode\n"
@@ -123,15 +125,18 @@ parseCli(int argc, char **argv)
         else if (arg == "--log-level")
             opt.logLevel = next();
         else if (arg == "--scale")
-            opt.scale = std::atof(next());
+            args.readDouble(opt.scale, [](double v) {
+                return v > 0.0 && v <= 1.0;
+            });
         else if (arg == "--rate")
-            opt.rate = std::atof(next());
+            args.readDouble(opt.rate, [](double v) { return v >= 0.0; });
         else if (arg == "--dpus")
-            args.readUnsigned(opt.dpus);
+            args.readUnsigned(opt.dpus, 1);
         else if (arg == "--tasklets")
-            args.readUnsigned(opt.tasklets);
+            args.readUnsigned(opt.tasklets, 1,
+                              upmem::DpuConfig{}.maxTasklets);
         else if (arg == "--queue-capacity")
-            args.readUnsigned(opt.queueCapacity);
+            args.readUnsigned(opt.queueCapacity, 1);
         else if (arg == "--queries")
             args.readUnsigned(opt.queries);
         else if (arg == "--clients")
@@ -139,7 +144,7 @@ parseCli(int argc, char **argv)
         else if (arg == "--queries-per-client")
             args.readUnsigned(opt.queriesPerClient);
         else if (arg == "--tenants")
-            args.readUnsigned(opt.tenants);
+            args.readUnsigned(opt.tenants, 1);
         else if (arg == "--seed")
             args.readUnsigned(opt.seed);
         else if (arg == "--version") {
