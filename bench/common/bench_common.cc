@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 
 #include "common/cli.hh"
@@ -58,10 +59,22 @@ BenchOptions
 parseOptions(int argc, char **argv)
 {
     BenchOptions opt;
-    if (const char *env = std::getenv("ALPHAPIM_SCALE"))
-        opt.scale = std::atof(env);
-    if (const char *env = std::getenv("ALPHAPIM_EDGE_TARGET"))
-        opt.edgeTarget = std::strtoull(env, nullptr, 10);
+    // The environment defaults obey the ranges of --scale and
+    // --edge-target.
+    if (const char *env = std::getenv("ALPHAPIM_SCALE")) {
+        if (!CliArgs::parseDouble(env, opt.scale) || opt.scale < 0.0) {
+            std::fprintf(stderr, "ALPHAPIM_SCALE: bad value '%s'\n", env);
+            usage(argv[0]);
+        }
+    }
+    if (const char *env = std::getenv("ALPHAPIM_EDGE_TARGET")) {
+        if (!CliArgs::parseUnsigned(env, std::numeric_limits<EdgeId>::max(),
+                                    opt.edgeTarget)) {
+            std::fprintf(stderr, "ALPHAPIM_EDGE_TARGET: bad value '%s'\n",
+                         env);
+            usage(argv[0]);
+        }
+    }
 
     // Accept both "--flag value" and "--flag=value".
     CliArgs args(argc, argv,

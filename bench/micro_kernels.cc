@@ -6,11 +6,12 @@
  * on traces captured from real CSC-2D and DCOO-2D launches; trace
  * recording of those launches with replay off; the host merge fold,
  * the profile fold, the imbalance analysis and the transfer model;
- * trace generation, the CSC-2D and DCOO-2D partition builds, and one
- * full SpMSpV launch. Each host phase the profiler names has a
- * benchmark of the same name. These
- * bound the wall-clock cost of the figure benches; all report wall
- * time, since a launch replays on parallelFor worker threads.
+ * trace generation, the CSC-2D and DCOO-2D partition builds, one
+ * full SpMSpV launch, and the fixed cost of dispatching an empty
+ * launch. Each host phase the profiler names has a benchmark of the
+ * same name. These bound the wall-clock cost of the figure benches;
+ * all report wall time, since a launch replays on the system's worker
+ * pool.
  */
 
 #include <benchmark/benchmark.h>
@@ -26,6 +27,7 @@
 #include "upmem/profile.hh"
 #include "upmem/scheduler.hh"
 #include "upmem/transfer_model.hh"
+#include "upmem/upmem_system.hh"
 
 using namespace alphapim;
 
@@ -392,6 +394,26 @@ BM_SpmspvLaunch(benchmark::State &state)
 }
 
 /**
+ * The fixed cost of one launch: launchKernel with an empty body and
+ * no observers, so what is left is handing the DPUs to the system's
+ * workers, their empty replays and the profile fold. The arg is the
+ * DPU count.
+ */
+void
+BM_LaunchDispatch(benchmark::State &state)
+{
+    upmem::SystemConfig cfg;
+    cfg.numDpus = static_cast<unsigned>(state.range(0));
+    const upmem::UpmemSystem sys(cfg);
+    for (auto _ : state) {
+        const upmem::LaunchProfile launch = sys.launchKernel(
+            cfg.numDpus, [](unsigned, std::vector<upmem::TaskletTrace> &) {});
+        benchmark::DoNotOptimize(launch.maxCycles);
+    }
+    state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+
+/**
  * Kernel construction alone (HostPhase::PartitionBuild): the 2D grid
  * and its blocks at 256 DPUs on a 20k-vertex graph, the work the two
  * PimEngine kernel constructors time. Arg 0 is the CSC-2D
@@ -404,12 +426,14 @@ BM_PartitionBuild(benchmark::State &state)
     Rng rng(2);
     const auto list = sparse::generateScaleMatched(20'000, 10, 30, rng);
     const auto adj = sparse::edgeListToSymmetricCoo(list);
+    WorkerPool workers;
     for (auto _ : state) {
         const auto grid = core::makeGrid2d(adj, 256);
         auto blocks = core::buildGridBlocks(
             adj, grid,
             row_major ? core::BlockOrder::RowMajor
-                      : core::BlockOrder::ColMajor);
+                      : core::BlockOrder::ColMajor,
+            workers);
         benchmark::DoNotOptimize(blocks.size());
     }
     state.SetItemsProcessed(state.iterations() * adj.nnz());
@@ -443,6 +467,7 @@ BENCHMARK(BM_ProfileFold)->Arg(256)->Arg(2048)->UseRealTime();
 BENCHMARK(BM_Analysis)->Arg(256)->Arg(2048)->UseRealTime();
 BENCHMARK(BM_TransferModel)->Arg(256)->Arg(2048)->UseRealTime();
 BENCHMARK(BM_SpmspvLaunch)->Arg(5'000)->Arg(20'000)->UseRealTime();
+BENCHMARK(BM_LaunchDispatch)->Arg(32)->Arg(256)->Arg(2048)->UseRealTime();
 // 0 = CSC-2D (column-major), 1 = DCOO-2D (row-major).
 BENCHMARK(BM_PartitionBuild)->Arg(0)->Arg(1)->UseRealTime();
 BENCHMARK(BM_DatasetGeneration)->Arg(50'000)->UseRealTime();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/stats.hh"
 #include "telemetry/metrics.hh"
@@ -12,14 +13,13 @@ namespace alphapim::analysis
 namespace
 {
 
-/** Gini coefficient of a non-negative sample vector (0 when the sum
- * is 0 or fewer than two samples). */
+/** Gini coefficient of a sorted non-negative sample vector (0 when
+ * the sum is 0 or fewer than two samples). */
 double
-giniCoefficient(std::vector<double> values)
+giniCoefficient(const std::vector<double> &values)
 {
     if (values.size() < 2)
         return 0.0;
-    std::sort(values.begin(), values.end());
     double sum = 0.0;
     double weighted = 0.0;
     for (std::size_t i = 0; i < values.size(); ++i) {
@@ -55,7 +55,7 @@ struct WeightedMean
 } // namespace
 
 SkewStats
-computeSkew(const std::vector<double> &values)
+computeSkew(std::vector<double> values)
 {
     SkewStats s;
     s.count = values.size();
@@ -68,8 +68,9 @@ computeSkew(const std::vector<double> &values)
     }
     s.mean = running.mean();
     s.cov = s.mean > 0.0 ? running.stddev() / s.mean : 0.0;
+    std::sort(values.begin(), values.end());
     s.gini = giniCoefficient(values);
-    s.p99 = percentile(values, 99.0);
+    s.p99 = sortedPercentile(values, 99.0);
     return s;
 }
 
@@ -99,9 +100,9 @@ computeLaunchImbalance(const std::string &kernel,
         total_bytes +=
             static_cast<double>(p.mramReadBytes + p.mramWriteBytes);
     }
-    li.cycles = computeSkew(cycles);
-    li.activeThreads = computeSkew(active);
-    li.memStallFraction = computeSkew(mem_stall);
+    li.cycles = computeSkew(std::move(cycles));
+    li.activeThreads = computeSkew(std::move(active));
+    li.memStallFraction = computeSkew(std::move(mem_stall));
 
     const bool joined = shares.size() == profiles.size();
     if (joined) {

@@ -82,8 +82,9 @@ struct SkewStats
     }
 };
 
-/** Skew summary of a per-DPU sample vector. */
-SkewStats computeSkew(const std::vector<double> &values);
+/** Skew summary of a per-DPU sample vector (sorted once, in place,
+ * for the Gini coefficient and p99). */
+SkewStats computeSkew(std::vector<double> values);
 
 /** One launch's position against the modeled roofline. */
 struct RooflinePoint

@@ -49,17 +49,23 @@ geometricMean(const std::vector<double> &values)
 double
 percentile(std::vector<double> values, double p)
 {
+    std::sort(values.begin(), values.end());
+    return sortedPercentile(values, p);
+}
+
+double
+sortedPercentile(const std::vector<double> &sorted, double p)
+{
     ALPHA_ASSERT(p >= 0.0 && p <= 100.0,
                  "percentile rank outside [0, 100]");
-    if (values.empty())
+    if (sorted.empty())
         return std::nan("");
-    std::sort(values.begin(), values.end());
     const double rank =
-        p / 100.0 * static_cast<double>(values.size() - 1);
+        p / 100.0 * static_cast<double>(sorted.size() - 1);
     const auto lo = static_cast<std::size_t>(rank);
-    const std::size_t hi = std::min(lo + 1, values.size() - 1);
+    const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
     const double frac = rank - static_cast<double>(lo);
-    return values[lo] + frac * (values[hi] - values[lo]);
+    return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
 
 Histogram::Histogram(std::size_t bins, double upper)

@@ -70,6 +70,10 @@ double geometricMean(const std::vector<double> &values);
  */
 double percentile(std::vector<double> values, double p);
 
+/** percentile() of a sample set already sorted ascending, without
+ * the copy and sort. */
+double sortedPercentile(const std::vector<double> &sorted, double p);
+
 /**
  * Fixed-bin histogram over [0, upperBound). Samples at or above the
  * bound land in the final bin. Used for active-thread-count profiles.

@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "common/logging.hh"
-#include "common/parallel.hh"
 
 namespace alphapim::core
 {
@@ -47,9 +46,9 @@ sortBlock(DeviceBlock &block)
 
 /** Sort every block in parallel on the host. */
 void
-sortBlocks(std::vector<DeviceBlock> &blocks)
+sortBlocks(std::vector<DeviceBlock> &blocks, WorkerPool &workers)
 {
-    parallelFor(blocks.size(),
+    workers.run(blocks.size(),
                 [&](std::size_t i) { sortBlock(blocks[i]); });
 }
 
@@ -80,7 +79,8 @@ DeviceBlock::mramBytes() const
 
 std::vector<DeviceBlock>
 buildRowBlocks(const sparse::CooMatrix<float> &coo,
-               const Partition1d &rows, BlockOrder order)
+               const Partition1d &rows, BlockOrder order,
+               WorkerPool &workers)
 {
     const unsigned parts = rows.parts();
     std::vector<DeviceBlock> blocks(parts);
@@ -98,13 +98,13 @@ buildRowBlocks(const sparse::CooMatrix<float> &coo,
         b.colIdx.push_back(coo.colAt(k));
         b.values.push_back(coo.valueAt(k));
     }
-    sortBlocks(blocks);
+    sortBlocks(blocks, workers);
     return blocks;
 }
 
 std::vector<DeviceBlock>
 buildColBlocks(const sparse::CooMatrix<float> &coo,
-               const Partition1d &cols)
+               const Partition1d &cols, WorkerPool &workers)
 {
     const unsigned parts = cols.parts();
     std::vector<DeviceBlock> blocks(parts);
@@ -122,13 +122,13 @@ buildColBlocks(const sparse::CooMatrix<float> &coo,
         b.colIdx.push_back(coo.colAt(k) - b.colBase);
         b.values.push_back(coo.valueAt(k));
     }
-    sortBlocks(blocks);
+    sortBlocks(blocks, workers);
     return blocks;
 }
 
 std::vector<DeviceBlock>
 buildGridBlocks(const sparse::CooMatrix<float> &coo, const Grid2d &grid,
-                BlockOrder order)
+                BlockOrder order, WorkerPool &workers)
 {
     const unsigned parts = grid.gridRows * grid.gridCols;
     std::vector<DeviceBlock> blocks(parts);
@@ -150,7 +150,7 @@ buildGridBlocks(const sparse::CooMatrix<float> &coo, const Grid2d &grid,
         b.colIdx.push_back(coo.colAt(k) - b.colBase);
         b.values.push_back(coo.valueAt(k));
     }
-    sortBlocks(blocks);
+    sortBlocks(blocks, workers);
     return blocks;
 }
 

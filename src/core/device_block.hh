@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/parallel.hh"
 #include "common/types.hh"
 #include "core/partition.hh"
 #include "sparse/coo.hh"
@@ -59,18 +60,22 @@ struct DeviceBlock
 
 /**
  * Bin a COO matrix into row-wise blocks (one per partition range),
- * each spanning all columns. Single pass over the nonzeros.
+ * each spanning all columns. Single pass over the nonzeros; the
+ * blocks are sorted on `workers`, as are those of the two builders
+ * below.
  */
 std::vector<DeviceBlock> buildRowBlocks(const sparse::CooMatrix<float> &coo,
                                         const Partition1d &rows,
-                                        BlockOrder order);
+                                        BlockOrder order,
+                                        WorkerPool &workers);
 
 /**
  * Bin a COO matrix into column-wise blocks (one per partition range),
  * each spanning all rows, in ColMajor order.
  */
 std::vector<DeviceBlock> buildColBlocks(const sparse::CooMatrix<float> &coo,
-                                        const Partition1d &cols);
+                                        const Partition1d &cols,
+                                        WorkerPool &workers);
 
 /**
  * Bin a COO matrix into a 2D grid of tiles (row-major tile id), in
@@ -78,7 +83,7 @@ std::vector<DeviceBlock> buildColBlocks(const sparse::CooMatrix<float> &coo,
  */
 std::vector<DeviceBlock> buildGridBlocks(
     const sparse::CooMatrix<float> &coo, const Grid2d &grid,
-    BlockOrder order);
+    BlockOrder order, WorkerPool &workers);
 
 /**
  * Split a row-major-sorted COO matrix into `parts` equal-nnz slices

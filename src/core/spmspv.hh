@@ -74,14 +74,16 @@ class CscSpmspv : public PimMxvKernel<S>
         switch (mode_) {
           case CscMode::RowWise:
             blocks_ = buildRowBlocks(a, makeRowPartition(a, dpus_),
-                                     BlockOrder::ColMajor);
+                                     BlockOrder::ColMajor, sys.workers());
             break;
           case CscMode::ColWise:
-            blocks_ = buildColBlocks(a, makeColPartition(a, dpus_));
+            blocks_ = buildColBlocks(a, makeColPartition(a, dpus_),
+                                     sys.workers());
             break;
           case CscMode::Grid:
             grid_ = makeGrid2d(a, dpus_);
-            blocks_ = buildGridBlocks(a, grid_, BlockOrder::ColMajor);
+            blocks_ = buildGridBlocks(a, grid_, BlockOrder::ColMajor,
+                                      sys.workers());
             break;
         }
     }
@@ -435,7 +437,7 @@ class RowMajorSpmspv : public PimMxvKernel<S>
         telemetry::HostPhaseTimer host_timer(
             telemetry::HostPhase::PartitionBuild);
         blocks_ = buildRowBlocks(a, makeRowPartition(a, dpus_),
-                                 BlockOrder::RowMajor);
+                                 BlockOrder::RowMajor, sys.workers());
     }
 
     MxvResult<Value>

@@ -13,7 +13,7 @@
  * check one relaxed atomic and return when disabled, so tier-1 bench
  * timing is unaffected unless profiling is requested. Aggregation is
  * thread-aware: per-phase totals are relaxed atomics (replay runs on
- * parallelFor workers), and a thread-local timer stack attributes
+ * the system's pool workers), and a thread-local timer stack attributes
  * *self* time -- a nested phase's wall time is subtracted from its
  * parent, so phase seconds sum to profiled wall seconds instead of
  * double-counting.

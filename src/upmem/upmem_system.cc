@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/logging.hh"
-#include "common/parallel.hh"
 #include "telemetry/host_prof.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/trace.hh"
@@ -118,7 +117,8 @@ traceLaunch(const SystemConfig &cfg,
 
 UpmemSystem::UpmemSystem(SystemConfig cfg, LaunchObservers observers)
     : cfg_(cfg), transfer_(cfg_.transfer), host_(cfg_.host),
-      observers_(std::move(observers))
+      observers_(std::move(observers)),
+      workers_(std::make_shared<WorkerPool>())
 {
     ALPHA_ASSERT(cfg_.numDpus > 0, "system needs at least one DPU");
     ALPHA_ASSERT(cfg_.dpu.tasklets > 0 &&
@@ -155,7 +155,7 @@ UpmemSystem::launchKernel(
     std::vector<DpuProfile> per_dpu_profiles(num_dpus);
     const bool host_prof = telemetry::hostProfiler().enabled();
 
-    parallelFor(num_dpus, [&](std::size_t dpu) {
+    workers_->run(num_dpus, [&](std::size_t dpu) {
         std::vector<TaskletTrace> traces(cfg_.dpu.tasklets);
         {
             telemetry::HostPhaseTimer timer(

@@ -1,9 +1,10 @@
 /**
  * @file
  * Facade over the simulated UPMEM system: owns the configuration and
- * exposes kernel launches (trace generation + revolver replay across
- * all DPUs, host-parallelized), the transfer model, and the host
- * merge model. Kernel implementations in src/core build on this.
+ * the host worker pool, and exposes kernel launches (trace generation
+ * + revolver replay across all DPUs, run on the pool), the transfer
+ * model, and the host merge model. Kernel implementations in src/core
+ * build on this.
  * Analyses attach as LaunchObservers (launch_observer.hh) at
  * construction; a system built without any runs no analysis.
  */
@@ -12,8 +13,10 @@
 #define ALPHA_PIM_UPMEM_UPMEM_SYSTEM_HH
 
 #include <functional>
+#include <memory>
 #include <vector>
 
+#include "common/parallel.hh"
 #include "common/types.hh"
 #include "upmem/dpu_config.hh"
 #include "upmem/host_model.hh"
@@ -27,8 +30,9 @@ namespace alphapim::upmem
 
 /**
  * The simulated PIM machine. One instance per experiment; cheap to
- * construct and copy (copies share the observers). Thread-safe for
- * concurrent const use when its observers are.
+ * construct and copy (copies share the observers and the workers).
+ * Thread-safe for concurrent const use when its observers are; a
+ * launch made while another holds the workers runs serially.
  */
 class UpmemSystem
 {
@@ -49,6 +53,10 @@ class UpmemSystem
     /** Host-side merge cost model. */
     const HostModel &host() const { return host_; }
 
+    /** Host threads that simulate DPUs and build partitions, sized by
+     * the ALPHA_PIM_THREADS limit. */
+    WorkerPool &workers() const { return *workers_; }
+
     /**
      * Launch a kernel: for each DPU, `generate(dpu, traces)` runs the
      * kernel functionally and records per-tasklet traces (the vector
@@ -56,7 +64,7 @@ class UpmemSystem
      * traces are then replayed through the revolver scheduler, and
      * the observers are notified with `info`.
      *
-     * DPUs are simulated concurrently on host threads, so `generate`
+     * DPUs are simulated concurrently on workers(), so `generate`
      * must only touch per-DPU state.
      *
      * @return aggregated launch profile (kernel wall time is
@@ -81,6 +89,7 @@ class UpmemSystem
     TransferModel transfer_;
     HostModel host_;
     LaunchObservers observers_;
+    std::shared_ptr<WorkerPool> workers_;
 };
 
 } // namespace alphapim::upmem

@@ -59,8 +59,9 @@ matrixEntries(const sparse::CooMatrix<float> &m)
 TEST(DeviceBlocks, RowBlocksPreserveEveryEntry)
 {
     const auto m = testMatrix();
+    WorkerPool workers;
     const auto blocks = buildRowBlocks(m, makeRowPartition(m, 9),
-                                       BlockOrder::RowMajor);
+                                       BlockOrder::RowMajor, workers);
     EXPECT_EQ(totalNnz(blocks), m.nnz());
     EXPECT_EQ(globalEntries(blocks), matrixEntries(m));
 }
@@ -68,7 +69,8 @@ TEST(DeviceBlocks, RowBlocksPreserveEveryEntry)
 TEST(DeviceBlocks, ColBlocksPreserveEveryEntry)
 {
     const auto m = testMatrix();
-    const auto blocks = buildColBlocks(m, makeColPartition(m, 6));
+    WorkerPool workers;
+    const auto blocks = buildColBlocks(m, makeColPartition(m, 6), workers);
     EXPECT_EQ(totalNnz(blocks), m.nnz());
     EXPECT_EQ(globalEntries(blocks), matrixEntries(m));
 }
@@ -77,7 +79,9 @@ TEST(DeviceBlocks, GridBlocksPreserveEveryEntry)
 {
     const auto m = testMatrix();
     const auto grid = makeGrid2d(m, 12);
-    const auto blocks = buildGridBlocks(m, grid, BlockOrder::ColMajor);
+    WorkerPool workers;
+    const auto blocks =
+        buildGridBlocks(m, grid, BlockOrder::ColMajor, workers);
     EXPECT_EQ(blocks.size(), 12u);
     EXPECT_EQ(totalNnz(blocks), m.nnz());
     EXPECT_EQ(globalEntries(blocks), matrixEntries(m));
@@ -98,7 +102,8 @@ TEST(DeviceBlocks, NnzSlicesAreBalanced)
 TEST(DeviceBlocks, ColMajorOrderingHolds)
 {
     const auto m = testMatrix();
-    const auto blocks = buildColBlocks(m, makeColPartition(m, 4));
+    WorkerPool workers;
+    const auto blocks = buildColBlocks(m, makeColPartition(m, 4), workers);
     for (const auto &b : blocks) {
         for (std::size_t k = 0; k + 1 < b.nnz(); ++k) {
             const bool ordered =
@@ -113,7 +118,8 @@ TEST(DeviceBlocks, ColMajorOrderingHolds)
 TEST(DeviceBlocks, ColRangeFindsColumns)
 {
     const auto m = testMatrix();
-    const auto blocks = buildColBlocks(m, makeColPartition(m, 4));
+    WorkerPool workers;
+    const auto blocks = buildColBlocks(m, makeColPartition(m, 4), workers);
     for (const auto &b : blocks) {
         for (NodeId c = 0; c < b.cols; ++c) {
             const auto [first, last] = b.colRange(c);

@@ -154,6 +154,11 @@ TEST(UpmemSystem, CopyOutlivesItsOriginal)
               reference.transfer().broadcast(4096, 16));
     EXPECT_EQ(copy.host().mergeTime(4096, 1000),
               reference.host().mergeTime(4096, 1000));
+    // The copy shares the original's workers and keeps them alive.
+    const LaunchProfile launched = copy.launchKernel(16, staircase);
+    EXPECT_EQ(launched.maxCycles,
+              reference.launchKernel(16, staircase).maxCycles);
+    EXPECT_EQ(launched.activeDpus, 16u);
 }
 
 TEST(LaunchObserver, HooksFireOncePerDpuAndOncePerLaunch)
