@@ -6,23 +6,27 @@
  * on traces captured from real CSC-2D and DCOO-2D launches; trace
  * recording of those launches with replay off; the host merge fold,
  * the profile fold, the imbalance analysis and the transfer model;
- * trace generation, the CSC-2D and DCOO-2D partition builds, one
- * full SpMSpV launch, and the fixed cost of dispatching an empty
- * launch. Each host phase the profiler names has a benchmark of the
- * same name. These bound the wall-clock cost of the figure benches;
- * all report wall time, since a launch replays on the system's worker
- * pool.
+ * trace generation, the CSC-2D and DCOO-2D partition builds, CSR
+ * conversion, one full SpMSpV launch, and the fixed cost of
+ * dispatching an empty launch. Each host phase the profiler names
+ * has a benchmark of the same name. These bound the wall-clock cost
+ * of the figure benches; all report wall time, since a launch
+ * replays on the system's worker pool.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <atomic>
 #include <memory>
+#include <numeric>
+#include <utility>
+#include <vector>
 
 #include "analysis/capture.hh"
 #include "analysis/imbalance.hh"
 #include "common/random.hh"
 #include "core/kernels.hh"
+#include "sparse/csr.hh"
 #include "sparse/generators.hh"
 #include "upmem/profile.hh"
 #include "upmem/scheduler.hh"
@@ -413,31 +417,69 @@ BM_LaunchDispatch(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 
+/** The coalesced adjacency of a scale-matched graph (about ten
+ * nonzeros per vertex). */
+sparse::CooMatrix<float>
+benchGraph(NodeId vertices)
+{
+    Rng rng(2);
+    const auto list = sparse::generateScaleMatched(vertices, 10, 30, rng);
+    return sparse::edgeListToSymmetricCoo(list);
+}
+
 /**
  * Kernel construction alone (HostPhase::PartitionBuild): the 2D grid
- * and its blocks at 256 DPUs on a 20k-vertex graph, the work the two
- * PimEngine kernel constructors time. Arg 0 is the CSC-2D
- * (column-major) build, arg 1 the DCOO-2D (row-major) one.
+ * and its blocks, the work the two PimEngine kernel constructors
+ * time. Arg 0 picks the CSC-2D (column-major, 0) or the DCOO-2D
+ * (row-major, 1) build; args 1 and 2 are the vertices and DPUs: 20k
+ * vertices (196k nonzeros) at 256 DPUs, and serve_mix's size, 250
+ * vertices (about 2.5k nonzeros) at 32 DPUs.
  */
 void
 BM_PartitionBuild(benchmark::State &state)
 {
     const bool row_major = state.range(0) == 1;
-    Rng rng(2);
-    const auto list = sparse::generateScaleMatched(20'000, 10, 30, rng);
-    const auto adj = sparse::edgeListToSymmetricCoo(list);
-    WorkerPool workers;
+    const auto adj = benchGraph(static_cast<NodeId>(state.range(1)));
+    const auto dpus = static_cast<unsigned>(state.range(2));
     for (auto _ : state) {
-        const auto grid = core::makeGrid2d(adj, 256);
+        const auto grid = core::makeGrid2d(adj, dpus);
         auto blocks = core::buildGridBlocks(
             adj, grid,
             row_major ? core::BlockOrder::RowMajor
-                      : core::BlockOrder::ColMajor,
-            workers);
-        benchmark::DoNotOptimize(blocks.size());
+                      : core::BlockOrder::ColMajor);
+        benchmark::DoNotOptimize(blocks.data());
     }
     state.SetItemsProcessed(state.iterations() * adj.nnz());
     state.SetLabel(row_major ? "DCOO-2D" : "CSC-2D");
+}
+
+/**
+ * CSR conversion, which every host reference traversal (the set-up's
+ * source picking) pays, on BM_PartitionBuild's 20k-vertex graph. Arg
+ * 0 converts the coalesced, row-major input; arg 1 the same entries
+ * in a shuffled order.
+ */
+void
+BM_CsrFromCoo(benchmark::State &state)
+{
+    auto adj = benchGraph(20'000);
+    if (state.range(0) == 1) {
+        std::vector<std::size_t> order(adj.nnz());
+        std::iota(order.begin(), order.end(), 0);
+        Rng rng(3);
+        for (std::size_t i = order.size(); i > 1; --i)
+            std::swap(order[i - 1], order[rng.nextBounded(i)]);
+        sparse::CooMatrix<float> shuffled(adj.numRows(), adj.numCols());
+        for (const std::size_t k : order)
+            shuffled.addEntry(adj.rowAt(k), adj.colAt(k), adj.valueAt(k));
+        adj = std::move(shuffled);
+    }
+    for (auto _ : state) {
+        const auto csr = sparse::CsrMatrix<float>::fromCoo(adj);
+        benchmark::DoNotOptimize(csr.colIndices().data());
+    }
+    state.SetItemsProcessed(state.iterations() * adj.nnz());
+    state.SetLabel(state.range(0) == 1 ? "shuffled" : "sorted");
 }
 
 void
@@ -469,7 +511,15 @@ BENCHMARK(BM_TransferModel)->Arg(256)->Arg(2048)->UseRealTime();
 BENCHMARK(BM_SpmspvLaunch)->Arg(5'000)->Arg(20'000)->UseRealTime();
 BENCHMARK(BM_LaunchDispatch)->Arg(32)->Arg(256)->Arg(2048)->UseRealTime();
 // 0 = CSC-2D (column-major), 1 = DCOO-2D (row-major).
-BENCHMARK(BM_PartitionBuild)->Arg(0)->Arg(1)->UseRealTime();
+// {CSC-2D 0 | DCOO-2D 1, vertices, DPUs}.
+BENCHMARK(BM_PartitionBuild)
+    ->Args({0, 20'000, 256})
+    ->Args({1, 20'000, 256})
+    ->Args({0, 250, 32})
+    ->Args({1, 250, 32})
+    ->UseRealTime();
+// 0 = sorted input, 1 = shuffled input.
+BENCHMARK(BM_CsrFromCoo)->Arg(0)->Arg(1)->UseRealTime();
 BENCHMARK(BM_DatasetGeneration)->Arg(50'000)->UseRealTime();
 
 BENCHMARK_MAIN();

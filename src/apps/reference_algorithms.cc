@@ -5,15 +5,13 @@
 #include <queue>
 
 #include "common/logging.hh"
-#include "sparse/csr.hh"
 
 namespace alphapim::apps
 {
 
 std::vector<std::uint32_t>
-referenceBfs(const sparse::CooMatrix<float> &adjacency, NodeId source)
+referenceBfs(const sparse::CsrMatrix<float> &csr, NodeId source)
 {
-    const auto csr = sparse::CsrMatrix<float>::fromCoo(adjacency);
     ALPHA_ASSERT(source < csr.numRows(), "source out of range");
     std::vector<std::uint32_t> levels(csr.numRows(), invalidNode);
     std::queue<NodeId> frontier;
@@ -33,10 +31,16 @@ referenceBfs(const sparse::CooMatrix<float> &adjacency, NodeId source)
     return levels;
 }
 
-std::vector<float>
-referenceSssp(const sparse::CooMatrix<float> &weighted, NodeId source)
+std::vector<std::uint32_t>
+referenceBfs(const sparse::CooMatrix<float> &adjacency, NodeId source)
 {
-    const auto csr = sparse::CsrMatrix<float>::fromCoo(weighted);
+    return referenceBfs(sparse::CsrMatrix<float>::fromCoo(adjacency),
+                        source);
+}
+
+std::vector<float>
+referenceSssp(const sparse::CsrMatrix<float> &csr, NodeId source)
+{
     ALPHA_ASSERT(source < csr.numRows(), "source out of range");
     const float inf = std::numeric_limits<float>::infinity();
     std::vector<float> dist(csr.numRows(), inf);
@@ -69,6 +73,13 @@ referenceSssp(const sparse::CooMatrix<float> &weighted, NodeId source)
     return dist;
 }
 
+std::vector<float>
+referenceSssp(const sparse::CooMatrix<float> &weighted, NodeId source)
+{
+    return referenceSssp(sparse::CsrMatrix<float>::fromCoo(weighted),
+                         source);
+}
+
 sparse::CooMatrix<float>
 normalizeColumns(const sparse::CooMatrix<float> &adjacency)
 {
@@ -89,9 +100,8 @@ normalizeColumns(const sparse::CooMatrix<float> &adjacency)
 }
 
 std::vector<std::uint32_t>
-referenceComponents(const sparse::CooMatrix<float> &adjacency)
+referenceComponents(const sparse::CsrMatrix<float> &csr)
 {
-    const auto csr = sparse::CsrMatrix<float>::fromCoo(adjacency);
     const NodeId n = csr.numRows();
     std::vector<std::uint32_t> labels(n, invalidNode);
     std::vector<NodeId> stack;
@@ -116,6 +126,13 @@ referenceComponents(const sparse::CooMatrix<float> &adjacency)
         }
     }
     return labels;
+}
+
+std::vector<std::uint32_t>
+referenceComponents(const sparse::CooMatrix<float> &adjacency)
+{
+    return referenceComponents(
+        sparse::CsrMatrix<float>::fromCoo(adjacency));
 }
 
 std::vector<float>

@@ -13,16 +13,25 @@
 
 #include "common/types.hh"
 #include "sparse/coo.hh"
+#include "sparse/csr.hh"
 
 namespace alphapim::apps
 {
 
 /** BFS levels from `source`; invalidNode marks unreachable vertices. */
 std::vector<std::uint32_t> referenceBfs(
+    const sparse::CsrMatrix<float> &adjacency, NodeId source);
+
+/** referenceBfs() over a COO adjacency, converted to CSR first. */
+std::vector<std::uint32_t> referenceBfs(
     const sparse::CooMatrix<float> &adjacency, NodeId source);
 
 /** Single-source shortest path distances (Bellman-Ford-style);
  * +inf marks unreachable vertices. */
+std::vector<float> referenceSssp(
+    const sparse::CsrMatrix<float> &weighted, NodeId source);
+
+/** referenceSssp() over a COO matrix, converted to CSR first. */
 std::vector<float> referenceSssp(
     const sparse::CooMatrix<float> &weighted, NodeId source);
 
@@ -44,6 +53,11 @@ sparse::CooMatrix<float> normalizeColumns(
 
 /** Connected-component labels: every vertex is labelled with the
  * smallest vertex id in its component. */
+std::vector<std::uint32_t> referenceComponents(
+    const sparse::CsrMatrix<float> &adjacency);
+
+/** referenceComponents() over a COO adjacency, converted to CSR
+ * first. */
 std::vector<std::uint32_t> referenceComponents(
     const sparse::CooMatrix<float> &adjacency);
 

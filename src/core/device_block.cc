@@ -1,7 +1,6 @@
 #include "device_block.hh"
 
 #include <algorithm>
-#include <numeric>
 
 #include "common/logging.hh"
 
@@ -11,45 +10,18 @@ namespace alphapim::core
 namespace
 {
 
-/** Sort a block's parallel arrays by the requested major order. */
-void
-sortBlock(DeviceBlock &block)
+/** The range of every index of `part`'s extent: rangeOf() as a table. */
+std::vector<unsigned>
+rangeTable(const Partition1d &part, NodeId extent)
 {
-    std::vector<std::size_t> order(block.nnz());
-    std::iota(order.begin(), order.end(), 0);
-    if (block.order == BlockOrder::RowMajor) {
-        std::sort(order.begin(), order.end(),
-                  [&](std::size_t a, std::size_t b) {
-                      if (block.rowIdx[a] != block.rowIdx[b])
-                          return block.rowIdx[a] < block.rowIdx[b];
-                      return block.colIdx[a] < block.colIdx[b];
-                  });
-    } else {
-        std::sort(order.begin(), order.end(),
-                  [&](std::size_t a, std::size_t b) {
-                      if (block.colIdx[a] != block.colIdx[b])
-                          return block.colIdx[a] < block.colIdx[b];
-                      return block.rowIdx[a] < block.rowIdx[b];
-                  });
+    ALPHA_ASSERT(part.begin(0) == 0 && part.end(part.parts() - 1) == extent,
+                 "partition does not cover the matrix");
+    std::vector<unsigned> table(extent);
+    for (unsigned p = 0; p < part.parts(); ++p) {
+        std::fill(table.begin() + part.begin(p), table.begin() + part.end(p),
+                  p);
     }
-    std::vector<NodeId> r(block.nnz()), c(block.nnz());
-    std::vector<float> v(block.nnz());
-    for (std::size_t i = 0; i < order.size(); ++i) {
-        r[i] = block.rowIdx[order[i]];
-        c[i] = block.colIdx[order[i]];
-        v[i] = block.values[order[i]];
-    }
-    block.rowIdx = std::move(r);
-    block.colIdx = std::move(c);
-    block.values = std::move(v);
-}
-
-/** Sort every block in parallel on the host. */
-void
-sortBlocks(std::vector<DeviceBlock> &blocks, WorkerPool &workers)
-{
-    workers.run(blocks.size(),
-                [&](std::size_t i) { sortBlock(blocks[i]); });
+    return table;
 }
 
 } // namespace
@@ -79,59 +51,29 @@ DeviceBlock::mramBytes() const
 
 std::vector<DeviceBlock>
 buildRowBlocks(const sparse::CooMatrix<float> &coo,
-               const Partition1d &rows, BlockOrder order,
-               WorkerPool &workers)
+               const Partition1d &rows, BlockOrder order)
 {
-    const unsigned parts = rows.parts();
-    std::vector<DeviceBlock> blocks(parts);
-    for (unsigned p = 0; p < parts; ++p) {
-        blocks[p].rowBase = rows.begin(p);
-        blocks[p].colBase = 0;
-        blocks[p].rows = rows.end(p) - rows.begin(p);
-        blocks[p].cols = coo.numCols();
-        blocks[p].order = order;
-    }
-    for (std::size_t k = 0; k < coo.nnz(); ++k) {
-        const unsigned p = rows.rangeOf(coo.rowAt(k));
-        DeviceBlock &b = blocks[p];
-        b.rowIdx.push_back(coo.rowAt(k) - b.rowBase);
-        b.colIdx.push_back(coo.colAt(k));
-        b.values.push_back(coo.valueAt(k));
-    }
-    sortBlocks(blocks, workers);
-    return blocks;
+    // A grid of one tile column.
+    return buildGridBlocks(
+        coo, {rows.parts(), 1, rows, uniformPartition(coo.numCols(), 1)},
+        order);
 }
 
 std::vector<DeviceBlock>
 buildColBlocks(const sparse::CooMatrix<float> &coo,
-               const Partition1d &cols, WorkerPool &workers)
+               const Partition1d &cols)
 {
-    const unsigned parts = cols.parts();
-    std::vector<DeviceBlock> blocks(parts);
-    for (unsigned p = 0; p < parts; ++p) {
-        blocks[p].rowBase = 0;
-        blocks[p].colBase = cols.begin(p);
-        blocks[p].rows = coo.numRows();
-        blocks[p].cols = cols.end(p) - cols.begin(p);
-        blocks[p].order = BlockOrder::ColMajor;
-    }
-    for (std::size_t k = 0; k < coo.nnz(); ++k) {
-        const unsigned p = cols.rangeOf(coo.colAt(k));
-        DeviceBlock &b = blocks[p];
-        b.rowIdx.push_back(coo.rowAt(k));
-        b.colIdx.push_back(coo.colAt(k) - b.colBase);
-        b.values.push_back(coo.valueAt(k));
-    }
-    sortBlocks(blocks, workers);
-    return blocks;
+    // A grid of one tile row.
+    return buildGridBlocks(
+        coo, {1, cols.parts(), uniformPartition(coo.numRows(), 1), cols},
+        BlockOrder::ColMajor);
 }
 
 std::vector<DeviceBlock>
 buildGridBlocks(const sparse::CooMatrix<float> &coo, const Grid2d &grid,
-                BlockOrder order, WorkerPool &workers)
+                BlockOrder order)
 {
-    const unsigned parts = grid.gridRows * grid.gridCols;
-    std::vector<DeviceBlock> blocks(parts);
+    std::vector<DeviceBlock> blocks(grid.gridRows * grid.gridCols);
     for (unsigned r = 0; r < grid.gridRows; ++r) {
         for (unsigned c = 0; c < grid.gridCols; ++c) {
             DeviceBlock &b = blocks[grid.tileId(r, c)];
@@ -142,15 +84,30 @@ buildGridBlocks(const sparse::CooMatrix<float> &coo, const Grid2d &grid,
             b.order = order;
         }
     }
-    for (std::size_t k = 0; k < coo.nnz(); ++k) {
-        const unsigned r = grid.rows.rangeOf(coo.rowAt(k));
-        const unsigned c = grid.cols.rangeOf(coo.colAt(k));
-        DeviceBlock &b = blocks[grid.tileId(r, c)];
+    const std::vector<unsigned> tile_row =
+        rangeTable(grid.rows, coo.numRows());
+    const std::vector<unsigned> tile_col =
+        rangeTable(grid.cols, coo.numCols());
+    const auto tile = [&](std::size_t k) {
+        return grid.tileId(tile_row[coo.rowAt(k)], tile_col[coo.colAt(k)]);
+    };
+    // A counting pass sizes each block's arrays exactly; one walk over
+    // the entries in `order` then appends them, which leaves every
+    // block in `order`.
+    std::vector<std::size_t> sizes(blocks.size(), 0);
+    for (std::size_t k = 0; k < coo.nnz(); ++k)
+        ++sizes[tile(k)];
+    for (std::size_t t = 0; t < blocks.size(); ++t) {
+        blocks[t].rowIdx.reserve(sizes[t]);
+        blocks[t].colIdx.reserve(sizes[t]);
+        blocks[t].values.reserve(sizes[t]);
+    }
+    coo.forEachInOrder(order, [&](std::size_t k) {
+        DeviceBlock &b = blocks[tile(k)];
         b.rowIdx.push_back(coo.rowAt(k) - b.rowBase);
         b.colIdx.push_back(coo.colAt(k) - b.colBase);
         b.values.push_back(coo.valueAt(k));
-    }
-    sortBlocks(blocks, workers);
+    });
     return blocks;
 }
 
@@ -158,34 +115,34 @@ std::vector<DeviceBlock>
 buildNnzSlices(const sparse::CooMatrix<float> &coo, unsigned parts)
 {
     ALPHA_ASSERT(parts > 0, "nnz slicing needs at least one part");
-    sparse::CooMatrix<float> sorted = coo;
-    sorted.sortRowMajor();
-
+    // Slice p holds the entries at row-major positions [first(p),
+    // first(p + 1)); a slice with none keeps rowBase = rows = 0.
+    const std::size_t nnz = coo.nnz();
+    const auto first = [&](unsigned p) { return nnz * p / parts; };
     std::vector<DeviceBlock> blocks(parts);
-    const std::size_t nnz = sorted.nnz();
     for (unsigned p = 0; p < parts; ++p) {
-        const std::size_t first = nnz * p / parts;
-        const std::size_t last = nnz * (p + 1) / parts;
         DeviceBlock &b = blocks[p];
-        b.order = BlockOrder::RowMajor;
-        b.colBase = 0;
-        b.cols = sorted.numCols();
-        if (first == last) {
-            b.rowBase = 0;
-            b.rows = 0;
-            continue;
-        }
-        b.rowBase = sorted.rowAt(first);
-        b.rows = sorted.rowAt(last - 1) - b.rowBase + 1;
-        b.rowIdx.reserve(last - first);
-        b.colIdx.reserve(last - first);
-        b.values.reserve(last - first);
-        for (std::size_t k = first; k < last; ++k) {
-            b.rowIdx.push_back(sorted.rowAt(k) - b.rowBase);
-            b.colIdx.push_back(sorted.colAt(k));
-            b.values.push_back(sorted.valueAt(k));
-        }
+        const std::size_t size = first(p + 1) - first(p);
+        b.cols = coo.numCols();
+        b.rowIdx.reserve(size);
+        b.colIdx.reserve(size);
+        b.values.reserve(size);
     }
+    std::size_t pos = 0;
+    unsigned p = 0;
+    coo.forEachInOrder(BlockOrder::RowMajor, [&](std::size_t k) {
+        while (pos == first(p + 1))
+            ++p;
+        DeviceBlock &b = blocks[p];
+        const NodeId r = coo.rowAt(k);
+        if (b.rowIdx.empty())
+            b.rowBase = r;
+        b.rows = r - b.rowBase + 1;
+        b.rowIdx.push_back(r - b.rowBase);
+        b.colIdx.push_back(coo.colAt(k));
+        b.values.push_back(coo.valueAt(k));
+        ++pos;
+    });
     return blocks;
 }
 

@@ -4,7 +4,10 @@
  * matrix partition resident in one DPU's MRAM: rebased local indices,
  * sorted in the kernel's preferred major order. CSC-style kernels
  * locate a column's run with binary search, mirroring the colPtr
- * lookup the device kernel performs in MRAM.
+ * lookup the device kernel performs in MRAM. The builders sort no
+ * block: they bin the matrix's entries, walked once in the blocks'
+ * order by CooMatrix::forEachInOrder, into arrays sized exactly by a
+ * counting pass.
  */
 
 #ifndef ALPHA_PIM_CORE_DEVICE_BLOCK_HH
@@ -14,7 +17,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/parallel.hh"
 #include "common/types.hh"
 #include "core/partition.hh"
 #include "sparse/coo.hh"
@@ -22,12 +24,9 @@
 namespace alphapim::core
 {
 
-/** Entry ordering inside a block. */
-enum class BlockOrder
-{
-    RowMajor, ///< sorted by (row, col): COO / CSR kernels
-    ColMajor, ///< sorted by (col, row): CSC kernels
-};
+/** Entry ordering inside a block: RowMajor for the COO / CSR kernels,
+ * ColMajor for the CSC kernels. */
+using BlockOrder = sparse::EntryOrder;
 
 /** One DPU's share of the adjacency matrix. */
 struct DeviceBlock
@@ -60,22 +59,19 @@ struct DeviceBlock
 
 /**
  * Bin a COO matrix into row-wise blocks (one per partition range),
- * each spanning all columns. Single pass over the nonzeros; the
- * blocks are sorted on `workers`, as are those of the two builders
- * below.
+ * each spanning all columns, in the given order. The COO may hold its
+ * entries in any order, as may those of the builders below.
  */
 std::vector<DeviceBlock> buildRowBlocks(const sparse::CooMatrix<float> &coo,
                                         const Partition1d &rows,
-                                        BlockOrder order,
-                                        WorkerPool &workers);
+                                        BlockOrder order);
 
 /**
  * Bin a COO matrix into column-wise blocks (one per partition range),
  * each spanning all rows, in ColMajor order.
  */
 std::vector<DeviceBlock> buildColBlocks(const sparse::CooMatrix<float> &coo,
-                                        const Partition1d &cols,
-                                        WorkerPool &workers);
+                                        const Partition1d &cols);
 
 /**
  * Bin a COO matrix into a 2D grid of tiles (row-major tile id), in
@@ -83,11 +79,12 @@ std::vector<DeviceBlock> buildColBlocks(const sparse::CooMatrix<float> &coo,
  */
 std::vector<DeviceBlock> buildGridBlocks(
     const sparse::CooMatrix<float> &coo, const Grid2d &grid,
-    BlockOrder order, WorkerPool &workers);
+    BlockOrder order);
 
 /**
- * Split a row-major-sorted COO matrix into `parts` equal-nnz slices
- * (SparseP's COO.nnz scheme): slice boundaries may fall inside a row.
+ * Split a COO matrix, taken in row-major order, into `parts` equal-nnz
+ * slices (SparseP's COO.nnz scheme): slice boundaries may fall inside
+ * a row.
  */
 std::vector<DeviceBlock> buildNnzSlices(const sparse::CooMatrix<float> &coo,
                                         unsigned parts);

@@ -74,16 +74,14 @@ class CscSpmspv : public PimMxvKernel<S>
         switch (mode_) {
           case CscMode::RowWise:
             blocks_ = buildRowBlocks(a, makeRowPartition(a, dpus_),
-                                     BlockOrder::ColMajor, sys.workers());
+                                     BlockOrder::ColMajor);
             break;
           case CscMode::ColWise:
-            blocks_ = buildColBlocks(a, makeColPartition(a, dpus_),
-                                     sys.workers());
+            blocks_ = buildColBlocks(a, makeColPartition(a, dpus_));
             break;
           case CscMode::Grid:
             grid_ = makeGrid2d(a, dpus_);
-            blocks_ = buildGridBlocks(a, grid_, BlockOrder::ColMajor,
-                                      sys.workers());
+            blocks_ = buildGridBlocks(a, grid_, BlockOrder::ColMajor);
             break;
         }
     }
@@ -437,7 +435,7 @@ class RowMajorSpmspv : public PimMxvKernel<S>
         telemetry::HostPhaseTimer host_timer(
             telemetry::HostPhase::PartitionBuild);
         blocks_ = buildRowBlocks(a, makeRowPartition(a, dpus_),
-                                 BlockOrder::RowMajor, sys.workers());
+                                 BlockOrder::RowMajor);
     }
 
     MxvResult<Value>

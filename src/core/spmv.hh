@@ -68,8 +68,7 @@ class SpmvKernel : public PimMxvKernel<S>
             blocks_ = buildNnzSlices(a, dpus_);
         } else {
             grid_ = makeGrid2d(a, dpus_);
-            blocks_ = buildGridBlocks(a, grid_, BlockOrder::RowMajor,
-                                      sys.workers());
+            blocks_ = buildGridBlocks(a, grid_, BlockOrder::RowMajor);
         }
     }
 
@@ -304,7 +303,7 @@ class SpmvRow1d : public PimMxvKernel<S>
         telemetry::HostPhaseTimer host_timer(
             telemetry::HostPhase::PartitionBuild);
         blocks_ = buildRowBlocks(a, uniformPartition(n_, dpus_),
-                                 BlockOrder::RowMajor, sys.workers());
+                                 BlockOrder::RowMajor);
     }
 
     MxvResult<Value>

@@ -1,16 +1,17 @@
 /**
  * @file
  * Coordinate-list (COO) sparse matrix: the construction and interchange
- * format. Graph generators emit COO; partitioners slice COO blocks and
- * convert them to CSR/CSC per strategy.
+ * format. Graph generators and Matrix Market input emit COO; CsrMatrix
+ * and the partition builders (core/device_block.hh) read it in row- or
+ * column-major order through forEachInOrder(), a stable counting sort.
  */
 
 #ifndef ALPHA_PIM_SPARSE_COO_HH
 #define ALPHA_PIM_SPARSE_COO_HH
 
-#include <algorithm>
 #include <cstddef>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
@@ -18,6 +19,13 @@
 
 namespace alphapim::sparse
 {
+
+/** Order of a matrix's entries. */
+enum class EntryOrder
+{
+    RowMajor, ///< by (row, col)
+    ColMajor, ///< by (col, row)
+};
 
 /**
  * COO matrix with parallel (row, col, value) arrays.
@@ -79,27 +87,47 @@ class CooMatrix
         values_.reserve(n);
     }
 
-    /** Sort entries by (row, col). */
+    /**
+     * Call visit(k) for every entry index k, in `order`; entries with
+     * equal keys keep their input order. A counting sort, O(nnz + rows
+     * + cols), whose two passes go by the minor index, then by the
+     * major one. One scan first checks the input: entries already in
+     * `order` are visited in place, and entries already sorted by the
+     * minor index skip the first pass.
+     */
+    template <typename Visit>
     void
-    sortRowMajor()
+    forEachInOrder(EntryOrder order, Visit &&visit) const
     {
-        applyOrder(makeOrder([&](std::size_t a, std::size_t b) {
-            if (rowIdx_[a] != rowIdx_[b])
-                return rowIdx_[a] < rowIdx_[b];
-            return colIdx_[a] < colIdx_[b];
-        }));
+        const bool col_major = order == EntryOrder::ColMajor;
+        const std::vector<NodeId> &major = col_major ? colIdx_ : rowIdx_;
+        const std::vector<NodeId> &minor = col_major ? rowIdx_ : colIdx_;
+        std::size_t out_of_order = 0;
+        std::size_t minor_descents = 0;
+        for (std::size_t k = 1; k < nnz(); ++k) {
+            const bool minor_down = minor[k - 1] > minor[k];
+            minor_descents += minor_down;
+            out_of_order += (major[k - 1] > major[k]) |
+                            ((major[k - 1] == major[k]) & minor_down);
+        }
+        if (out_of_order == 0) {
+            for (std::size_t k = 0; k < nnz(); ++k)
+                visit(k);
+            return;
+        }
+        std::vector<std::size_t> ids; // empty: input order
+        if (minor_descents > 0)
+            ids = countingSort(minor, col_major ? rows_ : cols_, ids);
+        for (const std::size_t k :
+             countingSort(major, col_major ? cols_ : rows_, ids))
+            visit(k);
     }
 
-    /** Sort entries by (col, row). */
-    void
-    sortColMajor()
-    {
-        applyOrder(makeOrder([&](std::size_t a, std::size_t b) {
-            if (colIdx_[a] != colIdx_[b])
-                return colIdx_[a] < colIdx_[b];
-            return rowIdx_[a] < rowIdx_[b];
-        }));
-    }
+    /** Sort entries by (row, col), stably. */
+    void sortRowMajor() { sortBy(EntryOrder::RowMajor); }
+
+    /** Sort entries by (col, row), stably. */
+    void sortColMajor() { sortBy(EntryOrder::ColMajor); }
 
     /**
      * Merge duplicate (row, col) entries, keeping the first value.
@@ -126,36 +154,6 @@ class CooMatrix
         values_.resize(out);
     }
 
-    /** Return the transposed matrix (rows and columns swapped). */
-    CooMatrix
-    transposed() const
-    {
-        CooMatrix t(cols_, rows_);
-        t.rowIdx_ = colIdx_;
-        t.colIdx_ = rowIdx_;
-        t.values_ = values_;
-        return t;
-    }
-
-    /**
-     * Extract the sub-block rows [r0, r1) x cols [c0, c1) with indices
-     * rebased to the block origin. Used by every partitioner.
-     */
-    CooMatrix
-    extractBlock(NodeId r0, NodeId r1, NodeId c0, NodeId c1) const
-    {
-        ALPHA_ASSERT(r0 <= r1 && r1 <= rows_, "bad row range");
-        ALPHA_ASSERT(c0 <= c1 && c1 <= cols_, "bad col range");
-        CooMatrix block(r1 - r0, c1 - c0);
-        for (std::size_t k = 0; k < nnz(); ++k) {
-            const NodeId r = rowIdx_[k];
-            const NodeId c = colIdx_[k];
-            if (r >= r0 && r < r1 && c >= c0 && c < c1)
-                block.addEntry(r - r0, c - c0, values_[k]);
-        }
-        return block;
-    }
-
     /** Bytes of the COO arrays (two index arrays + values). */
     Bytes
     storageBytes() const
@@ -164,29 +162,39 @@ class CooMatrix
     }
 
   private:
-    template <typename Cmp>
-    std::vector<std::size_t>
-    makeOrder(Cmp cmp) const
+    /**
+     * Stable counting sort of the entry ids `ids` (empty: 0, 1, ...,
+     * nnz - 1) by key[id], each key below `extent`.
+     */
+    static std::vector<std::size_t>
+    countingSort(const std::vector<NodeId> &key, NodeId extent,
+                 const std::vector<std::size_t> &ids)
     {
-        std::vector<std::size_t> order(nnz());
-        std::iota(order.begin(), order.end(), 0);
-        std::sort(order.begin(), order.end(), cmp);
-        return order;
+        std::vector<std::size_t> next(static_cast<std::size_t>(extent) + 1,
+                                      0);
+        for (const NodeId v : key)
+            ++next[v + 1];
+        std::partial_sum(next.begin(), next.end(), next.begin());
+        std::vector<std::size_t> sorted(key.size());
+        for (std::size_t i = 0; i < key.size(); ++i) {
+            const std::size_t k = ids.empty() ? i : ids[i];
+            sorted[next[key[k]]++] = k;
+        }
+        return sorted;
     }
 
+    /** Rearrange the entries into `order`. */
     void
-    applyOrder(const std::vector<std::size_t> &order)
+    sortBy(EntryOrder order)
     {
-        std::vector<NodeId> r(nnz()), c(nnz());
-        std::vector<T> v(nnz());
-        for (std::size_t i = 0; i < order.size(); ++i) {
-            r[i] = rowIdx_[order[i]];
-            c[i] = colIdx_[order[i]];
-            v[i] = values_[order[i]];
-        }
-        rowIdx_ = std::move(r);
-        colIdx_ = std::move(c);
-        values_ = std::move(v);
+        CooMatrix sorted(rows_, cols_);
+        sorted.reserve(nnz());
+        forEachInOrder(order, [&](std::size_t k) {
+            sorted.rowIdx_.push_back(rowIdx_[k]);
+            sorted.colIdx_.push_back(colIdx_[k]);
+            sorted.values_.push_back(values_[k]);
+        });
+        *this = std::move(sorted);
     }
 
     NodeId rows_ = 0;

@@ -9,6 +9,7 @@
 #define ALPHA_PIM_SPARSE_CSR_HH
 
 #include <cstddef>
+#include <numeric>
 #include <vector>
 
 #include "common/logging.hh"
@@ -30,7 +31,7 @@ class CsrMatrix
   public:
     CsrMatrix() = default;
 
-    /** Convert from COO (entries are sorted internally). */
+    /** Convert from COO, in any entry order, in O(nnz + rows + cols). */
     static CsrMatrix
     fromCoo(const CooMatrix<T> &coo)
     {
@@ -38,23 +39,18 @@ class CsrMatrix
         m.rows_ = coo.numRows();
         m.cols_ = coo.numCols();
         m.rowPtr_.assign(static_cast<std::size_t>(m.rows_) + 1, 0);
+        for (const NodeId r : coo.rowIndices())
+            ++m.rowPtr_[r + 1];
+        std::partial_sum(m.rowPtr_.begin(), m.rowPtr_.end(),
+                         m.rowPtr_.begin());
         m.colIdx_.resize(coo.nnz());
         m.values_.resize(coo.nnz());
-
-        // Counting sort by row keeps conversion O(nnz + rows).
-        for (std::size_t k = 0; k < coo.nnz(); ++k)
-            ++m.rowPtr_[coo.rowAt(k) + 1];
-        for (std::size_t r = 0; r < m.rows_; ++r)
-            m.rowPtr_[r + 1] += m.rowPtr_[r];
-
-        std::vector<EdgeId> cursor(m.rowPtr_.begin(), m.rowPtr_.end() - 1);
-        CooMatrix<T> sorted = coo;
-        sorted.sortRowMajor();
-        for (std::size_t k = 0; k < sorted.nnz(); ++k) {
-            const EdgeId pos = cursor[sorted.rowAt(k)]++;
-            m.colIdx_[pos] = sorted.colAt(k);
-            m.values_[pos] = sorted.valueAt(k);
-        }
+        std::size_t pos = 0;
+        coo.forEachInOrder(EntryOrder::RowMajor, [&](std::size_t k) {
+            m.colIdx_[pos] = coo.colAt(k);
+            m.values_[pos] = coo.valueAt(k);
+            ++pos;
+        });
         return m;
     }
 

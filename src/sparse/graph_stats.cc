@@ -5,7 +5,6 @@
 
 #include "common/logging.hh"
 #include "common/stats.hh"
-#include "sparse/csr.hh"
 
 namespace alphapim::sparse
 {
@@ -46,9 +45,8 @@ computeGraphStats(const CooMatrix<float> &adjacency)
 }
 
 std::vector<bool>
-reachableFrom(const CooMatrix<float> &adjacency, NodeId source)
+reachableFrom(const CsrMatrix<float> &csr, NodeId source)
 {
-    const auto csr = CsrMatrix<float>::fromCoo(adjacency);
     std::vector<bool> visited(csr.numRows(), false);
     std::queue<NodeId> frontier;
     visited[source] = true;
@@ -67,14 +65,19 @@ reachableFrom(const CooMatrix<float> &adjacency, NodeId source)
     return visited;
 }
 
-NodeId
-largestComponentVertex(const CooMatrix<float> &adjacency)
+std::vector<bool>
+reachableFrom(const CooMatrix<float> &adjacency, NodeId source)
 {
-    const NodeId n = adjacency.numRows();
+    return reachableFrom(CsrMatrix<float>::fromCoo(adjacency), source);
+}
+
+NodeId
+largestComponentVertex(const CsrMatrix<float> &csr)
+{
+    const NodeId n = csr.numRows();
     ALPHA_ASSERT(n > 0, "empty graph has no components");
 
     std::vector<NodeId> component(n, invalidNode);
-    const auto csr = CsrMatrix<float>::fromCoo(adjacency);
     NodeId best_root = 0;
     std::size_t best_size = 0;
     NodeId next_component = 0;
@@ -105,6 +108,12 @@ largestComponentVertex(const CooMatrix<float> &adjacency)
         }
     }
     return best_root;
+}
+
+NodeId
+largestComponentVertex(const CooMatrix<float> &adjacency)
+{
+    return largestComponentVertex(CsrMatrix<float>::fromCoo(adjacency));
 }
 
 } // namespace alphapim::sparse

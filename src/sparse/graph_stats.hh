@@ -13,6 +13,7 @@
 
 #include "common/types.hh"
 #include "sparse/coo.hh"
+#include "sparse/csr.hh"
 
 namespace alphapim::sparse
 {
@@ -46,10 +47,16 @@ std::vector<NodeId> vertexDegrees(const CooMatrix<float> &adjacency);
  * adjacency pattern. Used to pick interesting source vertices and to
  * validate the PIM traversal results.
  */
+std::vector<bool> reachableFrom(const CsrMatrix<float> &csr, NodeId source);
+
+/** reachableFrom() over a COO adjacency, converted to CSR first. */
 std::vector<bool> reachableFrom(const CooMatrix<float> &adjacency,
                                 NodeId source);
 
 /** A vertex inside the largest weakly connected component. */
+NodeId largestComponentVertex(const CsrMatrix<float> &csr);
+
+/** largestComponentVertex() over a COO adjacency, converted first. */
 NodeId largestComponentVertex(const CooMatrix<float> &adjacency);
 
 } // namespace alphapim::sparse

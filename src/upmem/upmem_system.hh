@@ -53,10 +53,6 @@ class UpmemSystem
     /** Host-side merge cost model. */
     const HostModel &host() const { return host_; }
 
-    /** Host threads that simulate DPUs and build partitions, sized by
-     * the ALPHA_PIM_THREADS limit. */
-    WorkerPool &workers() const { return *workers_; }
-
     /**
      * Launch a kernel: for each DPU, `generate(dpu, traces)` runs the
      * kernel functionally and records per-tasklet traces (the vector
@@ -64,8 +60,9 @@ class UpmemSystem
      * traces are then replayed through the revolver scheduler, and
      * the observers are notified with `info`.
      *
-     * DPUs are simulated concurrently on workers(), so `generate`
-     * must only touch per-DPU state.
+     * DPUs are simulated concurrently on the system's worker pool,
+     * sized by the ALPHA_PIM_THREADS limit, so `generate` must only
+     * touch per-DPU state.
      *
      * @return aggregated launch profile (kernel wall time is
      *         kernelSeconds(profile))

@@ -84,13 +84,14 @@ TEST_P(MultiSourceAcrossStrategies, BfsLanesBitIdenticalToSequential)
     const auto batched = runMultiBfs(sys, adj, sources, cfg);
     ASSERT_EQ(batched.levels.size(), sources.size());
     EXPECT_TRUE(batched.converged);
+    const auto csr = sparse::CsrMatrix<float>::fromCoo(adj);
     for (std::size_t s = 0; s < sources.size(); ++s) {
         const auto solo = runBfs(sys, adj, sources[s], cfg);
         // operator== on the level vectors: exact, element for
         // element.
         EXPECT_EQ(batched.levels[s], solo.levels)
             << "lane " << s << " (source " << sources[s] << ")";
-        EXPECT_EQ(batched.levels[s], referenceBfs(adj, sources[s]))
+        EXPECT_EQ(batched.levels[s], referenceBfs(csr, sources[s]))
             << "lane " << s << " (source " << sources[s] << ")";
     }
 }
@@ -110,11 +111,12 @@ TEST_P(MultiSourceAcrossStrategies, SsspLanesBitIdenticalToSequential)
     const auto batched = runMultiSssp(sys, weighted, sources, cfg);
     ASSERT_EQ(batched.distances.size(), sources.size());
     EXPECT_TRUE(batched.converged);
+    const auto csr = sparse::CsrMatrix<float>::fromCoo(weighted);
     for (std::size_t s = 0; s < sources.size(); ++s) {
         const auto solo = runSssp(sys, weighted, sources[s], cfg);
         // Integer weights make every distance exact in float, so the
         // reference matches exactly too.
-        const auto reference = referenceSssp(weighted, sources[s]);
+        const auto reference = referenceSssp(csr, sources[s]);
         // Bit-identical floats: min is exact and the batched run
         // pairs the same addition operands the sequential run does.
         ASSERT_EQ(batched.distances[s].size(),

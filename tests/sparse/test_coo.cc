@@ -1,4 +1,4 @@
-/** @file COO matrix construction, sorting, coalescing, slicing. */
+/** @file COO matrix construction, sorting, coalescing. */
 
 #include <gtest/gtest.h>
 
@@ -70,31 +70,18 @@ TEST(Coo, CoalesceKeepsFirst)
     m.coalesce();
     ASSERT_EQ(m.nnz(), 2u);
     EXPECT_FLOAT_EQ(m.valueAt(1), 5.0f);
-}
 
-TEST(Coo, Transpose)
-{
-    CooMatrix<float> m(2, 3);
-    m.addEntry(0, 2, 4.0f);
-    const auto t = m.transposed();
-    EXPECT_EQ(t.numRows(), 3u);
-    EXPECT_EQ(t.numCols(), 2u);
-    EXPECT_EQ(t.rowAt(0), 2u);
-    EXPECT_EQ(t.colAt(0), 0u);
-}
-
-TEST(Coo, ExtractBlockRebasesIndices)
-{
-    CooMatrix<float> m(4, 4);
-    m.addEntry(1, 1, 1.0f);
-    m.addEntry(2, 3, 2.0f);
-    m.addEntry(3, 0, 3.0f);
-    const auto block = m.extractBlock(1, 3, 1, 4);
-    ASSERT_EQ(block.nnz(), 2u);
-    EXPECT_EQ(block.numRows(), 2u);
-    EXPECT_EQ(block.numCols(), 3u);
-    EXPECT_EQ(block.rowAt(0), 0u);
-    EXPECT_EQ(block.colAt(0), 0u);
-    EXPECT_EQ(block.rowAt(1), 1u);
-    EXPECT_EQ(block.colAt(1), 2u);
+    // Enough duplicates that an unstable sort reorders them: entry k is
+    // (7k mod 4, 0) with value k, so row r first appears at k = 0, 3,
+    // 2, 1 for r = 0, 1, 2, 3.
+    CooMatrix<float> many(4, 1);
+    for (unsigned k = 0; k < 200; ++k)
+        many.addEntry(7 * k % 4, 0, static_cast<float>(k));
+    many.coalesce();
+    ASSERT_EQ(many.nnz(), 4u);
+    const float first[] = {0.0f, 3.0f, 2.0f, 1.0f};
+    for (NodeId r = 0; r < 4; ++r) {
+        EXPECT_EQ(many.rowAt(r), r);
+        EXPECT_FLOAT_EQ(many.valueAt(r), first[r]) << "row " << r;
+    }
 }

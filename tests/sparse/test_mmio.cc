@@ -47,6 +47,23 @@ TEST(Mmio, SymmetricDiagonalNotDuplicated)
     EXPECT_EQ(m.nnz(), 3u);
 }
 
+TEST(Mmio, DuplicateEntryKeepsFirstValue)
+{
+    // (1, 1) is listed first with value 1 and last with value 2, among
+    // enough entries that an unstable sort would reorder the two.
+    std::ostringstream text;
+    text << "%%MatrixMarket matrix coordinate real general\n"
+         << "16 1 17\n"
+         << "1 1 1\n";
+    for (int r = 16; r >= 1; --r)
+        text << r << " 1 " << (r == 1 ? 2 : 9) << "\n";
+    std::istringstream in(text.str());
+    const auto m = readMatrixMarket(in);
+    ASSERT_EQ(m.nnz(), 16u);
+    EXPECT_EQ(m.rowAt(0), 0u);
+    EXPECT_FLOAT_EQ(m.valueAt(0), 1.0f);
+}
+
 TEST(Mmio, WriteReadRoundTrip)
 {
     CooMatrix<float> m(5, 4);

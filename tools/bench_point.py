@@ -9,14 +9,20 @@ DIR (default .bench_build/repeat) holds the per-run result JSON that
 bench/suite/repeat.sh saves: the last stdout line of alphapim_bench,
 `{"correct", "attempted", "failed", "metrics"}`.
 
-  WORKLOAD.runI.json               untraced run I, seed SEED + I
-  WORKLOAD.threads4.trace1.json    traced run at seed SEED, 4 threads
+  WORKLOAD.runI.json                  untraced run I, seed SEED + I
+  WORKLOAD.threadsT.trace1*.json      traced runs at T threads: the
+                                      one repeat.sh saves at seed SEED,
+                                      plus any more saved beside it
+                                      (e.g. WORKLOAD.threads4.trace1.run3.json)
 
 For every workload in BENCHMARK.json the point holds the median and
 quartiles of the five end-to-end metrics over the untraced runs, the
-failed-op count, and four per-layer metrics of the traced run. The
-point is printed as JSON, or appended to the trajectory file given
-with --append.
+failed-op count, and, from the traced runs at --threads, the median
+of seven per-layer metrics (the three set-up spans and four round
+phases) with the number of traced runs as `traced_runs`. A single
+traced run swings with host noise; the median of several does not.
+The point is printed as JSON, or appended to the trajectory file
+given with --append.
 """
 
 import argparse
@@ -26,7 +32,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TRACED = ["upmem.replay_s", "upmem.trace_record_s", "apps.host_merge_s",
+TRACED = ["sparse.generate_s", "sparse.stats_s", "core.engine_build_s",
+          "upmem.replay_s", "upmem.trace_record_s", "apps.host_merge_s",
           "upmem.replay_mslots_per_s"]
 
 
@@ -45,7 +52,7 @@ def summary(values):
     return {"median": sig(median), "q1": sig(q1), "q3": sig(q3)}
 
 
-def workload_point(directory, workload, end_to_end):
+def workload_point(directory, workload, end_to_end, threads):
     runs = sorted(directory.glob(f"{workload}.run*.json"),
                   key=lambda p: int(p.stem.rsplit(".run", 1)[1]))
     if len(runs) < 2:
@@ -57,11 +64,13 @@ def workload_point(directory, workload, end_to_end):
     for name in end_to_end:
         point[name] = summary([r["metrics"][name]["value"]
                                for r in results])
-    traced = directory / f"{workload}.threads4.trace1.json"
-    if traced.is_file():
-        metrics = load(traced)["metrics"]
-        point["traced"] = {name: sig(metrics[name]["value"])
-                           for name in TRACED}
+    traced = [load(p)["metrics"] for p in sorted(
+        directory.glob(f"{workload}.threads{threads}.trace1*.json"))]
+    if traced:
+        point["traced_runs"] = len(traced)
+        point["traced"] = {
+            name: sig(statistics.median(m[name]["value"] for m in traced))
+            for name in TRACED}
     return point
 
 
@@ -81,7 +90,8 @@ def main():
 
     spec = load(ROOT / "BENCHMARK.json")
     end_to_end = [m["name"] for m in spec["end_to_end"]]
-    workloads = {w["name"]: workload_point(args.dir, w["name"], end_to_end)
+    workloads = {w["name"]: workload_point(args.dir, w["name"], end_to_end,
+                                           args.threads)
                  for w in spec["workloads"]}
     runs = min(w["runs"] for w in workloads.values())
     point = {
@@ -93,7 +103,8 @@ def main():
         "seeds": list(range(args.seed, args.seed + runs)),
         "seconds": args.seconds,
         "method": "bench/suite/repeat.sh: untraced runs, one per seed; "
-                  "traced metrics from one traced run at the first seed",
+                  "traced metrics are the median over every traced run "
+                  "at these threads (traced_runs of them)",
         "workloads": workloads,
     }
     if args.append is None:
