@@ -7,7 +7,8 @@
  * recording of those launches with replay off; the host merge fold,
  * the profile fold, the imbalance analysis and the transfer model;
  * trace generation, the CSC-2D and DCOO-2D partition builds, CSR
- * conversion, one full SpMSpV launch, and the fixed cost of
+ * conversion, full CSC-2D and CSC-R SpMSpV launches (one of them
+ * road_traverse-shaped, nearly every DPU idle), and the fixed cost of
  * dispatching an empty launch. Each host phase the profiler names
  * has a benchmark of the same name. These bound the wall-clock cost
  * of the figure benches; all report wall time, since a launch
@@ -19,6 +20,7 @@
 #include <atomic>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -27,6 +29,7 @@
 #include "common/random.hh"
 #include "core/kernels.hh"
 #include "sparse/csr.hh"
+#include "sparse/datasets.hh"
 #include "sparse/generators.hh"
 #include "upmem/profile.hh"
 #include "upmem/scheduler.hh"
@@ -192,12 +195,16 @@ BM_SchedulerReplayKernelTraces(benchmark::State &state)
     state.SetLabel(core::kernelVariantName(launch.variant));
 }
 
-/** Counts the trace records every DPU generates and turns the replay
- * off. */
+/** Counts the trace records every DPU generates, idle ones included,
+ * and turns the replay off. */
 class RecordCounter : public upmem::LaunchObserver
 {
   public:
-    bool replays() const override { return false; }
+    unsigned
+    requirements() const override
+    {
+        return TracesOfEveryDpu | NoReplay;
+    }
 
     void
     onDpuTraces(unsigned /*dpu*/,
@@ -373,28 +380,54 @@ BM_TransferModel(benchmark::State &state)
         static_cast<std::int64_t>(state.iterations() * bytes.size()));
 }
 
+/**
+ * One full SpMSpV launch, Load to Merge, on a system without
+ * observers, so DPUs that get no update take their kernel's cached
+ * idle profile. Arg 0 is the vertex count of a scale-free graph at
+ * 64 DPUs with a tenth of the input entries set, or 0 for a
+ * road_traverse launch: r-TX at scale 0.005 on 256 DPUs with a
+ * one-vertex frontier, where nearly every DPU is idle. Arg 1 picks
+ * CSC-2D (0) or CSC-R (1), whose broadcast slice the launching
+ * thread scans for idle DPUs.
+ */
 void
 BM_SpmspvLaunch(benchmark::State &state)
 {
-    Rng rng(1);
-    const auto list = sparse::generateScaleMatched(
-        static_cast<NodeId>(state.range(0)), 10, 30, rng);
-    const auto adj = sparse::edgeListToSymmetricCoo(list);
+    const bool road = state.range(0) == 0;
+    sparse::CooMatrix<float> adj;
+    if (road) {
+        adj = sparse::buildDataset("r-TX", 0.005).adjacency;
+    } else {
+        Rng rng(1);
+        adj = sparse::edgeListToSymmetricCoo(sparse::generateScaleMatched(
+            static_cast<NodeId>(state.range(0)), 10, 30, rng));
+    }
+    const unsigned dpus = road ? 256 : 64;
+    const core::CscMode mode = state.range(1) == 0
+                                   ? core::CscMode::Grid
+                                   : core::CscMode::RowWise;
     upmem::SystemConfig sys_cfg;
-    sys_cfg.numDpus = 64;
+    sys_cfg.numDpus = dpus;
     const upmem::UpmemSystem sys(sys_cfg);
-    const core::CscSpmspv<core::IntPlusTimes> kernel(
-        sys, adj, 64, core::CscMode::Grid);
+    const core::CscSpmspv<core::IntPlusTimes> kernel(sys, adj, dpus,
+                                                     mode);
 
     sparse::SparseVector<std::uint32_t> x(adj.numRows());
-    for (NodeId i = 0; i < adj.numRows(); i += 10)
-        x.append(i, 1u);
+    if (road) {
+        // One vertex in the middle of the lattice, as a traversal's
+        // early frontiers are.
+        x.append(adj.rowAt(adj.nnz() / 2), 1u);
+    } else {
+        for (NodeId i = 0; i < adj.numRows(); i += 10)
+            x.append(i, 1u);
+    }
 
     for (auto _ : state) {
         auto result = kernel.run(x);
         benchmark::DoNotOptimize(result.outputNnz);
     }
     state.SetItemsProcessed(state.iterations() * adj.nnz());
+    state.SetLabel(std::string(kernel.name()) + (road ? " r-TX" : ""));
 }
 
 /**
@@ -508,7 +541,14 @@ BENCHMARK(BM_HostMerge)->Arg(0)->Arg(1)->UseRealTime();
 BENCHMARK(BM_ProfileFold)->Arg(256)->Arg(2048)->UseRealTime();
 BENCHMARK(BM_Analysis)->Arg(256)->Arg(2048)->UseRealTime();
 BENCHMARK(BM_TransferModel)->Arg(256)->Arg(2048)->UseRealTime();
-BENCHMARK(BM_SpmspvLaunch)->Arg(5'000)->Arg(20'000)->UseRealTime();
+// {vertices, or 0 for r-TX with one frontier vertex; CSC-2D 0 | CSC-R 1}.
+BENCHMARK(BM_SpmspvLaunch)
+    ->Args({5'000, 0})
+    ->Args({20'000, 0})
+    ->Args({20'000, 1})
+    ->Args({0, 0})
+    ->Args({0, 1})
+    ->UseRealTime();
 BENCHMARK(BM_LaunchDispatch)->Arg(32)->Arg(256)->Arg(2048)->UseRealTime();
 // 0 = CSC-2D (column-major), 1 = DCOO-2D (row-major).
 // {CSC-2D 0 | DCOO-2D 1, vertices, DPUs}.

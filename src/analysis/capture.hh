@@ -1,7 +1,8 @@
 /**
  * @file
  * Trace capture: a LaunchObserver that collects the per-tasklet traces
- * every DPU generated and turns the revolver replay off. The model
+ * every DPU generated, idle ones included, and turns the revolver
+ * replay off. The model
  * checker (src/analysis/modelcheck/) attaches one to the small system
  * it builds, to harvest synchronization skeletons from real kernel
  * runs on small abstract partitions without paying for timing
@@ -35,8 +36,12 @@ struct CapturedLaunch
 class TraceCapture : public upmem::LaunchObserver
 {
   public:
-    /** Captured launches skip the replay. */
-    bool replays() const override { return false; }
+    /** Captured launches record every DPU and skip the replay. */
+    unsigned
+    requirements() const override
+    {
+        return TracesOfEveryDpu | NoReplay;
+    }
 
     /** Open a new launch group of `num_dpus` DPU slots. */
     void onLaunchBegin(const upmem::LaunchInfo &info,

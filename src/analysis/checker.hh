@@ -106,6 +106,13 @@ class TraceChecker : public upmem::LaunchObserver
                     const std::vector<upmem::TaskletTrace> &traces,
                     const upmem::DpuConfig &cfg);
 
+    /** The checker analyzes every DPU, idle ones included. */
+    unsigned
+    requirements() const override
+    {
+        return TracesOfEveryDpu;
+    }
+
     /** Launch hook: analyzeDpu() on every DPU of every launch. */
     void
     onDpuTraces(unsigned dpu,

@@ -24,7 +24,8 @@
  * CLI build one when run records or metrics are requested and attach
  * it to their systems. Only its onLaunchEnd() hook does work, on the
  * launching thread; it joins the kernel's LaunchInfo shares with the
- * folded per-DPU profiles. Launches accumulate until beginRun(), for
+ * folded per-DPU profiles. It needs no traces, so it asks for no
+ * Requirement and idle DPUs keep their cached profiles. Launches accumulate until beginRun(), for
  * as long as the owner holds the observer.
  */
 

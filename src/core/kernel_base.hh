@@ -118,12 +118,18 @@ foldSlots(const std::vector<DpuSlot<typename S::Value>> &slots,
  *                   record its tasklet traces and fill its own slot
  * @param merge_cost merge_cost(retrieved_bytes, merge_ops): the
  *                   kernel's modeled Merge time over all slots
+ * @param idle       empty, or per DPU the cached profile of a DPU
+ *                   that gets no work (null for the others): such a
+ *                   DPU's body would leave its slot empty, so
+ *                   launchKernel may take the profile instead of
+ *                   running it
  */
 template <Semiring S, typename Body, typename MergeCost>
 MxvResult<typename S::Value>
 launchMxv(const upmem::UpmemSystem &sys, const char *kernel,
           const std::vector<DeviceBlock> &blocks, NodeId n, Seconds load,
-          const Body &body, const MergeCost &merge_cost)
+          const Body &body, const MergeCost &merge_cost,
+          const std::vector<const upmem::DpuProfile *> &idle = {})
 {
     MxvResult<typename S::Value> result;
     result.times.load = load;
@@ -133,7 +139,7 @@ launchMxv(const upmem::UpmemSystem &sys, const char *kernel,
         [&](unsigned dpu, std::vector<upmem::TaskletTrace> &traces) {
             body(dpu, traces, slots[dpu]);
         },
-        {kernel, [&blocks] { return partitionShares(blocks); }});
+        {kernel, [&blocks] { return partitionShares(blocks); }}, idle);
     result.times.kernel = sys.kernelSeconds(result.profile);
 
     result.y.assign(n, S::zero());

@@ -14,6 +14,7 @@
 #define ALPHA_PIM_CORE_SPMSPV_HH
 
 #include <algorithm>
+#include <map>
 #include <memory>
 
 #include "common/logging.hh"
@@ -21,6 +22,7 @@
 #include "core/kernel_base.hh"
 #include "core/partition.hh"
 #include "telemetry/host_prof.hh"
+#include "upmem/scheduler.hh"
 #include "upmem/tasklet_ctx.hh"
 
 namespace alphapim::core
@@ -84,6 +86,11 @@ class CscSpmspv : public PimMxvKernel<S>
             blocks_ = buildGridBlocks(a, grid_, BlockOrder::ColMajor);
             break;
         }
+        // A system whose observers want every DPU's traces simulates
+        // idle DPUs too, so it would never take a cached profile.
+        if (!(sys_.requirements() &
+              upmem::LaunchObserver::TracesOfEveryDpu))
+            cacheIdleProfiles();
     }
 
     MxvResult<Value>
@@ -97,6 +104,11 @@ class CscSpmspv : public PimMxvKernel<S>
         std::vector<std::pair<std::size_t, std::size_t>> x_slices(
             blocks_.size());
         std::vector<Bytes> load_bytes(blocks_.size(), 0);
+        // A DPU whose slice brings no entry into its block replays to
+        // its cached idle profile and leaves its slot empty.
+        std::vector<const upmem::DpuProfile *> idle;
+        if (!idleOf_.empty())
+            idle.resize(blocks_.size());
         for (std::size_t d = 0; d < blocks_.size(); ++d) {
             const DeviceBlock &b = blocks_[d];
             const auto lo = std::lower_bound(x.indices().begin(),
@@ -111,6 +123,8 @@ class CscSpmspv : public PimMxvKernel<S>
                            static_cast<std::size_t>(hi)};
             load_bytes[d] =
                 static_cast<Bytes>(hi - lo) * kVecPair;
+            if (!idle.empty() && bringsNoEntries(b, x, x_slices[d]))
+                idle[d] = &idleProfiles_[idleOf_[d]];
         }
         const Seconds load =
             mode_ == CscMode::RowWise
@@ -131,7 +145,8 @@ class CscSpmspv : public PimMxvKernel<S>
                 return sys_.host().mergeTime(
                     static_cast<Bytes>(n_) * sizeof(Value) + retrieved,
                     merge_ops);
-            });
+            },
+            idle);
     }
 
     const char *
@@ -164,7 +179,70 @@ class CscSpmspv : public PimMxvKernel<S>
     /** Grid shape (valid in Grid mode). */
     const Grid2d &grid() const { return grid_; }
 
+    /** The per-DPU blocks, one DPU each. */
+    const std::vector<DeviceBlock> &blocks() const { return blocks_; }
+
   private:
+    /** True when `block`'s output accumulator fits in WRAM. */
+    bool
+    wramAccumulates(const DeviceBlock &block) const
+    {
+        return static_cast<Bytes>(block.rows) * sizeof(Value) <=
+               detail::wramOutputBudget(sys_.config().dpu);
+    }
+
+    /** True when no x entry of `slice` has a column with entries in
+     * `block`: O(1) for an empty slice, otherwise a scan that stops
+     * at the first column with entries. */
+    static bool
+    bringsNoEntries(const DeviceBlock &block,
+                    const sparse::SparseVector<Value> &x,
+                    std::pair<std::size_t, std::size_t> slice)
+    {
+        for (std::size_t k = slice.first; k < slice.second; ++k) {
+            const auto [first, last] =
+                block.colRange(x.indices()[k] - block.colBase);
+            if (first != last)
+                return false;
+        }
+        return true;
+    }
+
+    /**
+     * Cache the profile of every DPU that gets no update. Such a
+     * DPU's traces are those of runOneDpu on an empty slice: no
+     * tasklet gets a column, so they depend only on the semiring, the
+     * DpuConfig and the block's accumulator. That gives one profile
+     * for every WRAM-accumulating block, and one per row count for
+     * the MRAM-accumulating ones, each recorded by runOneDpu and
+     * replayed by the launch's scheduler once.
+     */
+    void
+    cacheIdleProfiles()
+    {
+        const auto &cfg = sys_.config().dpu;
+        const upmem::RevolverScheduler scheduler(cfg);
+        const sparse::SparseVector<Value> empty(n_);
+        // Row count of an MRAM accumulator, or 0 for WRAM (an MRAM
+        // accumulator has rows).
+        std::map<NodeId, std::uint32_t> shapes;
+        idleOf_.resize(blocks_.size());
+        for (std::size_t d = 0; d < blocks_.size(); ++d) {
+            const NodeId key =
+                wramAccumulates(blocks_[d]) ? 0 : blocks_[d].rows;
+            const auto [it, fresh] = shapes.try_emplace(
+                key, static_cast<std::uint32_t>(idleProfiles_.size()));
+            if (fresh) {
+                std::vector<upmem::TaskletTrace> traces(cfg.tasklets);
+                DpuSlot<Value> slot;
+                runOneDpu(static_cast<unsigned>(d), empty, {0, 0},
+                          traces, slot);
+                idleProfiles_.push_back(scheduler.run(traces));
+            }
+            idleOf_[d] = it->second;
+        }
+    }
+
     /**
      * Emulate one DPU: split the update stream over tasklets, record
      * traces, and hand back the DPU's nonzero outputs in its slot.
@@ -210,9 +288,7 @@ class CscSpmspv : public PimMxvKernel<S>
             row_touched.resize(block.rows, 0);
         }
 
-        const bool wram_out =
-            static_cast<Bytes>(block.rows) * sizeof(Value) <=
-            detail::wramOutputBudget(cfg);
+        const bool wram_out = wramAccumulates(block);
         const bool mram_addressed = detail::mramRegionFits(
             block.rows * (kAccStride / 8));
         const NodeId group_size = std::max<NodeId>(
@@ -395,6 +471,10 @@ class CscSpmspv : public PimMxvKernel<S>
     NodeId n_;
     Grid2d grid_;
     std::vector<DeviceBlock> blocks_;
+    /// Distinct idle profiles, and per block the index of its own
+    /// (both empty when the system simulates every DPU).
+    std::vector<upmem::DpuProfile> idleProfiles_;
+    std::vector<std::uint32_t> idleOf_;
 };
 
 /**

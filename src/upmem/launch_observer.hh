@@ -7,10 +7,13 @@
  * three hooks per launch:
  *
  *  - onLaunchBegin(): once, before any DPU is simulated;
- *  - onDpuTraces(): once per DPU, with the per-tasklet traces the
- *    kernel recorded, before the revolver replay consumes them. This
- *    hook runs *concurrently* from the launch worker pool, so
- *    implementations must synchronize their own state;
+ *  - onDpuTraces(): once per recorded DPU, with the per-tasklet
+ *    traces the kernel recorded, before the revolver replay consumes
+ *    them. An idle DPU whose profile the kernel already knows is not
+ *    recorded unless an observer's requirements() ask for the traces
+ *    of every DPU. This hook runs *concurrently* from the launch
+ *    worker pool, so implementations must synchronize their own
+ *    state;
  *  - onLaunchEnd(): once, on the launching thread, after the serial
  *    profile fold, with every DPU's profile in DPU order.
  *
@@ -57,10 +60,22 @@ class LaunchObserver
     LaunchObserver &operator=(const LaunchObserver &) = delete;
     virtual ~LaunchObserver() = default;
 
-    /** False when launches should skip the revolver replay: the
-     * kernels still run functionally, but every profile comes back
-     * zero. One observer answering false turns replay off. */
-    virtual bool replays() const { return true; }
+    /** What an observer needs from the launches it watches: flags of
+     * the bit set requirements() returns, after KaGen's generator
+     * requirements. A system honours the union over its observers. */
+    enum Requirement : unsigned
+    {
+        /** Record every DPU and pass its traces to onDpuTraces(), idle
+         * ones included. Without it, a DPU whose profile the kernel
+         * already knows is neither recorded nor replayed. */
+        TracesOfEveryDpu = 1u << 0,
+        /** Skip the revolver replay: the kernels still run
+         * functionally, but every profile comes back zero. */
+        NoReplay = 1u << 1,
+    };
+
+    /** This observer's Requirement flags (none by default). */
+    virtual unsigned requirements() const { return 0; }
 
     /** A launch of `num_dpus` DPUs is about to be simulated. */
     virtual void onLaunchBegin(const LaunchInfo & /*info*/,
@@ -69,7 +84,8 @@ class LaunchObserver
     }
 
     /** DPU `dpu` recorded `traces` (one per tasklet) under `cfg`.
-     * Called concurrently from the launch worker pool. */
+     * Called concurrently from the launch worker pool, for every DPU
+     * only under TracesOfEveryDpu. */
     virtual void onDpuTraces(unsigned /*dpu*/,
                              const std::vector<TaskletTrace> & /*traces*/,
                              const DpuConfig & /*cfg*/)

@@ -126,6 +126,8 @@ UpmemSystem::UpmemSystem(SystemConfig cfg, LaunchObservers observers)
                  "tasklet count outside hardware limits");
     ALPHA_ASSERT(cfg_.dpu.maxTasklets <= taskletCeiling,
                  "maxTasklets above the scheduler's tasklet ceiling");
+    for (const auto &o : observers_)
+        requirements_ |= o->requirements();
 }
 
 LaunchProfile
@@ -133,16 +135,18 @@ UpmemSystem::launchKernel(
     unsigned num_dpus,
     const std::function<void(unsigned, std::vector<TaskletTrace> &)>
         &generate,
-    const LaunchInfo &info) const
+    const LaunchInfo &info,
+    const std::vector<const DpuProfile *> &known) const
 {
     ALPHA_ASSERT(num_dpus > 0 && num_dpus <= cfg_.numDpus,
                  "launch requests more DPUs than allocated");
+    ALPHA_ASSERT(known.empty() || known.size() == num_dpus,
+                 "known profiles must cover every DPU of the launch");
 
     // Replay is the dominant cost of a launch; an observer that only
     // harvests traces (the model checker's capture) turns it off.
     const bool replaying =
-        std::all_of(observers_.begin(), observers_.end(),
-                    [](const auto &o) { return o->replays(); });
+        !(requirements_ & LaunchObserver::NoReplay);
     for (const auto &o : observers_)
         o->onLaunchBegin(info, num_dpus);
 
@@ -155,12 +159,30 @@ UpmemSystem::launchKernel(
     std::vector<DpuProfile> per_dpu_profiles(num_dpus);
     const bool host_prof = telemetry::hostProfiler().enabled();
 
-    workers_->run(num_dpus, [&](std::size_t dpu) {
+    // A DPU whose profile is known takes it here and never reaches
+    // the pool, unless an observer wants every DPU's traces.
+    std::vector<unsigned> simulated;
+    const bool skipping =
+        !known.empty() &&
+        !(requirements_ & LaunchObserver::TracesOfEveryDpu);
+    if (skipping) {
+        for (unsigned d = 0; d < num_dpus; ++d) {
+            if (!known[d])
+                simulated.push_back(d);
+            else if (replaying)
+                per_dpu_profiles[d] = *known[d];
+        }
+    }
+
+    const std::size_t jobs = skipping ? simulated.size() : num_dpus;
+    workers_->run(jobs, [&](std::size_t item) {
+        const unsigned dpu =
+            skipping ? simulated[item] : static_cast<unsigned>(item);
         std::vector<TaskletTrace> traces(cfg_.dpu.tasklets);
         {
             telemetry::HostPhaseTimer timer(
                 telemetry::HostPhase::TraceRecord);
-            generate(static_cast<unsigned>(dpu), traces);
+            generate(dpu, traces);
         }
         if (host_prof) {
             std::uint64_t records = 0, bytes = 0;
@@ -176,8 +198,7 @@ UpmemSystem::launchKernel(
             telemetry::HostPhaseTimer timer(
                 telemetry::HostPhase::Analysis);
             for (const auto &o : observers_)
-                o->onDpuTraces(static_cast<unsigned>(dpu), traces,
-                               cfg_.dpu);
+                o->onDpuTraces(dpu, traces, cfg_.dpu);
         }
         if (replaying) {
             telemetry::HostPhaseTimer timer(

@@ -53,6 +53,9 @@ class UpmemSystem
     /** Host-side merge cost model. */
     const HostModel &host() const { return host_; }
 
+    /** The union of the observers' LaunchObserver::Requirement flags. */
+    unsigned requirements() const { return requirements_; }
+
     /**
      * Launch a kernel: for each DPU, `generate(dpu, traces)` runs the
      * kernel functionally and records per-tasklet traces (the vector
@@ -64,6 +67,12 @@ class UpmemSystem
      * sized by the ALPHA_PIM_THREADS limit, so `generate` must only
      * touch per-DPU state.
      *
+     * `known`, when not empty, holds one entry per DPU: the profile
+     * the caller already knows DPU `dpu` replays to, or null. Unless
+     * an observer asks for the traces of every DPU, a DPU with a known
+     * profile is neither generated, recorded nor replayed, and takes
+     * that profile (zero when replay is off).
+     *
      * @return aggregated launch profile (kernel wall time is
      *         kernelSeconds(profile))
      */
@@ -71,7 +80,8 @@ class UpmemSystem
         unsigned num_dpus,
         const std::function<void(unsigned,
                                  std::vector<TaskletTrace> &)> &generate,
-        const LaunchInfo &info = {}) const;
+        const LaunchInfo &info = {},
+        const std::vector<const DpuProfile *> &known = {}) const;
 
     /** Kernel wall-clock time of a launch, including launch overhead. */
     Seconds
@@ -86,6 +96,7 @@ class UpmemSystem
     TransferModel transfer_;
     HostModel host_;
     LaunchObservers observers_;
+    unsigned requirements_ = 0;
     std::shared_ptr<WorkerPool> workers_;
 };
 

@@ -10,12 +10,12 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <memory>
 #include <string>
 
 #include "common/random.hh"
 #include "core/kernels.hh"
+#include "expect_profile.hh"
 #include "reference_replayer.hh"
 #include "scheduler_corpus.hh"
 #include "sparse/generators.hh"
@@ -28,22 +28,6 @@ using namespace alphapim::upmem;
 
 namespace
 {
-
-/** Every profile field, activeThreadCycles by its bit pattern. */
-void
-expectSameProfile(const DpuProfile &want, const DpuProfile &got,
-                  const std::string &label)
-{
-    EXPECT_EQ(got.totalCycles, want.totalCycles) << label;
-    EXPECT_EQ(got.issuedCycles, want.issuedCycles) << label;
-    EXPECT_EQ(got.stallCycles, want.stallCycles) << label;
-    EXPECT_EQ(got.instrByClass, want.instrByClass) << label;
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.activeThreadCycles),
-              std::bit_cast<std::uint64_t>(want.activeThreadCycles))
-        << label;
-    EXPECT_EQ(got.mramReadBytes, want.mramReadBytes) << label;
-    EXPECT_EQ(got.mramWriteBytes, want.mramWriteBytes) << label;
-}
 
 void
 expectMatchesReference(const DpuConfig &cfg,
@@ -58,6 +42,8 @@ expectMatchesReference(const DpuConfig &cfg,
 class LaunchRecorder : public LaunchObserver
 {
   public:
+    unsigned requirements() const override { return TracesOfEveryDpu; }
+
     struct Launch
     {
         std::string kernel;

@@ -1,5 +1,6 @@
 /** @file System facade: launches, aggregation, kernel time, the
- * launch-observer seam, and copies that outlive their original. */
+ * launch-observer seam and its requirements, known (idle) profiles,
+ * and copies that outlive their original. */
 
 #include <atomic>
 #include <memory>
@@ -7,6 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/capture.hh"
+#include "common/random.hh"
+#include "core/spmspv.hh"
+#include "sparse/generators.hh"
+#include "telemetry/host_prof.hh"
 #include "upmem/upmem_system.hh"
 
 using namespace alphapim;
@@ -24,13 +30,17 @@ smallConfig(unsigned dpus, unsigned tasklets = 4)
     return cfg;
 }
 
-/** Records every hook call; optionally turns replay off. */
+/** Records every hook call under the given requirements (by default,
+ * every DPU's traces). */
 class FakeObserver : public LaunchObserver
 {
   public:
-    explicit FakeObserver(bool replay = true) : replay_(replay) {}
+    explicit FakeObserver(unsigned requirements = TracesOfEveryDpu)
+        : requirements_(requirements)
+    {
+    }
 
-    bool replays() const override { return replay_; }
+    unsigned requirements() const override { return requirements_; }
 
     void
     onLaunchBegin(const LaunchInfo &info, unsigned num_dpus) override
@@ -64,7 +74,7 @@ class FakeObserver : public LaunchObserver
     std::vector<DpuProfile> lastProfiles;
 
   private:
-    const bool replay_;
+    const unsigned requirements_;
     std::mutex mutex_;
 };
 
@@ -73,6 +83,25 @@ void
 staircase(unsigned dpu, std::vector<TaskletTrace> &traces)
 {
     traces[0].ops(OpClass::IntAdd, 10 * (dpu + 1));
+}
+
+/** A profile no staircase DPU replays to. */
+DpuProfile
+knownProfile()
+{
+    DpuProfile p;
+    p.totalCycles = 7;
+    return p;
+}
+
+/** Every DPU but the first has `profile` known, as the idle DPUs of a
+ * sparse-frontier launch do. */
+std::vector<const DpuProfile *>
+knownAfterFirst(unsigned dpus, const DpuProfile &profile)
+{
+    std::vector<const DpuProfile *> known(dpus, &profile);
+    known[0] = nullptr;
+    return known;
 }
 
 } // namespace
@@ -198,8 +227,10 @@ TEST(LaunchObserver, EndHookProfilesFoldToTheLaunchProfile)
 TEST(LaunchObserver, NonReplayingObserverZeroesTimingNotOutput)
 {
     const UpmemSystem timed(smallConfig(8));
-    const UpmemSystem untimed(smallConfig(8),
-                              {std::make_shared<FakeObserver>(false)});
+    const UpmemSystem untimed(
+        smallConfig(8), {std::make_shared<FakeObserver>(
+                            LaunchObserver::TracesOfEveryDpu |
+                            LaunchObserver::NoReplay)});
     std::vector<unsigned> out_timed(8), out_untimed(8);
     const auto kernel = [](std::vector<unsigned> &out) {
         return [&out](unsigned dpu, std::vector<TaskletTrace> &traces) {
@@ -228,6 +259,122 @@ TEST(LaunchObserver, SystemsSeeOnlyTheirOwnLaunches)
     EXPECT_EQ(obs_b->kernels, (std::vector<std::string>{"b"}));
     EXPECT_EQ(obs_a->tracedPerDpu, (std::vector<unsigned>{2, 2, 2, 2}));
     EXPECT_EQ(obs_b->tracedPerDpu, (std::vector<unsigned>{1, 1}));
+}
+
+TEST(LaunchObserver, TraceAskingObserverSeesEveryDpuOnce)
+{
+    const auto obs = std::make_shared<FakeObserver>();
+    const UpmemSystem sys(smallConfig(16), {obs});
+    const DpuProfile known = knownProfile();
+    std::vector<std::atomic<int>> hits(16);
+    sys.launchKernel(
+        16,
+        [&](unsigned dpu, std::vector<TaskletTrace> &traces) {
+            hits[dpu].fetch_add(1);
+            staircase(dpu, traces);
+        },
+        {}, knownAfterFirst(16, known));
+    const std::vector<DpuProfile> replayed = obs->lastProfiles;
+    sys.launchKernel(16, staircase);
+    ASSERT_EQ(obs->tracedPerDpu.size(), 16u);
+    for (unsigned d = 0; d < 16; ++d) {
+        EXPECT_EQ(hits[d].load(), 1) << "dpu " << d;
+        EXPECT_EQ(obs->tracedPerDpu[d], 2u) << "dpu " << d;
+        // Simulated, so replayed: the known profile is not taken.
+        EXPECT_EQ(replayed[d].totalCycles,
+                  obs->lastProfiles[d].totalCycles)
+            << "dpu " << d;
+    }
+}
+
+TEST(LaunchObserver, KnownProfilesSkipRecordingAndReplay)
+{
+    const DpuProfile known = knownProfile();
+    for (const unsigned requirements :
+         {0u, unsigned{LaunchObserver::NoReplay}}) {
+        const bool replaying = requirements == 0;
+        const auto obs = std::make_shared<FakeObserver>(requirements);
+        const UpmemSystem sys(smallConfig(16), {obs});
+        std::vector<std::atomic<int>> hits(16);
+        const LaunchProfile launch = sys.launchKernel(
+            16,
+            [&](unsigned dpu, std::vector<TaskletTrace> &traces) {
+                hits[dpu].fetch_add(1);
+                staircase(dpu, traces);
+            },
+            {}, knownAfterFirst(16, known));
+        ASSERT_EQ(obs->lastProfiles.size(), 16u);
+        EXPECT_EQ(launch.activeDpus, replaying ? 1u : 0u);
+        for (unsigned d = 0; d < 16; ++d) {
+            EXPECT_EQ(hits[d].load(), d == 0 ? 1 : 0) << "dpu " << d;
+            EXPECT_EQ(obs->tracedPerDpu[d], d == 0 ? 1u : 0u)
+                << "dpu " << d;
+            if (d > 0) {
+                // Taken as is, or zero like every profile without
+                // replay.
+                EXPECT_EQ(obs->lastProfiles[d].totalCycles,
+                          replaying ? known.totalCycles : 0u)
+                    << "dpu " << d;
+            }
+        }
+        EXPECT_EQ(obs->lastProfiles[0].totalCycles > 0, replaying);
+    }
+}
+
+TEST(LaunchObserver, CaptureRecordsEveryDpuWithReplayOff)
+{
+    const auto capture = std::make_shared<analysis::TraceCapture>();
+    const UpmemSystem sys(smallConfig(16), {capture});
+    const DpuProfile known = knownProfile();
+    const LaunchProfile launch = sys.launchKernel(
+        16, staircase, {}, knownAfterFirst(16, known));
+    EXPECT_EQ(launch.maxCycles, 0u);
+    EXPECT_EQ(launch.aggregate.totalCycles, 0u);
+    const auto launches = capture->take();
+    ASSERT_EQ(launches.size(), 1u);
+    ASSERT_EQ(launches[0].dpuTraces.size(), 16u);
+    for (unsigned d = 0; d < 16; ++d) {
+        ASSERT_EQ(launches[0].dpuTraces[d].size(), 4u) << "dpu " << d;
+        EXPECT_FALSE(launches[0].dpuTraces[d][0].records().empty())
+            << "dpu " << d;
+    }
+}
+
+TEST(LaunchObserver, HostProfilerCountsOnlyRecordedDpus)
+{
+    // A one-vertex frontier of a CSC-2D launch: the DPUs that get no
+    // update take the kernel's cached profile unless an observer
+    // asks for every DPU's traces.
+    Rng rng(3);
+    const auto adj = sparse::edgeListToSymmetricCoo(
+        sparse::generateScaleMatched(400, 8, 30, rng));
+    sparse::SparseVector<float> x(adj.numRows());
+    x.append(adj.colAt(0), 1.0f);
+    const auto countLaunch = [&](unsigned requirements,
+                                 LaunchProfile &profile) {
+        const UpmemSystem sys(smallConfig(16, 16),
+                              {std::make_shared<FakeObserver>(requirements)});
+        const core::CscSpmspv<core::PlusTimes> kernel(sys, adj, 16,
+                                                      core::CscMode::Grid);
+        auto &prof = telemetry::hostProfiler();
+        prof.reset();
+        prof.setEnabled(true);
+        profile = kernel.run(x).profile;
+        const telemetry::HostProfile host = prof.snapshot(0.0);
+        prof.setEnabled(false);
+        prof.reset();
+        return std::pair{host.traceRecords, host.replaySlots};
+    };
+    LaunchProfile all, busy;
+    const auto [all_records, all_slots] =
+        countLaunch(LaunchObserver::TracesOfEveryDpu, all);
+    const auto [busy_records, busy_slots] = countLaunch(0, busy);
+    EXPECT_GT(busy_records, 0u);
+    EXPECT_LT(busy_records, all_records);
+    EXPECT_LT(busy_slots, all_slots);
+    EXPECT_EQ(busy.maxCycles, all.maxCycles);
+    EXPECT_EQ(busy.aggregate.totalCycles, all.aggregate.totalCycles);
+    EXPECT_EQ(busy.activeDpus, all.activeDpus);
 }
 
 TEST(LaunchProfileTest, SequentialLaunchesAccumulate)
