@@ -3,8 +3,9 @@
  * google-benchmark microbenchmarks of the simulation infrastructure
  * itself: revolver-scheduler replay throughput on long Ops runs, on
  * SpMSpV-shaped short records with a WRAM or an MRAM accumulator, and
- * on traces captured from real CSC-2D and DCOO-2D launches; trace
- * recording of those launches with replay off; the host merge fold,
+ * on traces captured from real CSC-2D and DCOO-2D launches (one of
+ * them dense_ppr-shaped, at 2048 DPUs); trace recording of those
+ * launches with replay off; the host merge fold,
  * the profile fold, the imbalance analysis and the transfer model;
  * trace generation, the CSC-2D and DCOO-2D partition builds, CSR
  * conversion, full CSC-2D and CSC-R SpMSpV launches (one of them
@@ -146,7 +147,9 @@ BM_SchedulerReplayDmaBound(benchmark::State &state)
 
 /** The real launches the kernel-trace benchmarks time: a PlusTimes
  * kernel (arg 0 = CSC-2D, 1 = DCOO-2D) on a 20k-vertex scale-free
- * graph at 64 DPUs, with a tenth of the input entries set. */
+ * graph at 64 DPUs, with a tenth of the input entries set. Arg 2 is
+ * shaped like dense_ppr's face launch: DCOO-2D at 2048 DPUs, about
+ * 100 entries per DPU and a handful per tasklet. */
 struct KernelLaunch
 {
     core::KernelVariant variant;
@@ -161,7 +164,7 @@ struct KernelLaunch
     {
         for (NodeId i = 0; i < adj.numRows(); i += 10)
             x.append(i, 1.0f);
-        sysCfg.numDpus = 64;
+        sysCfg.numDpus = state.range(0) == 2 ? 2048 : 64;
     }
 
     static sparse::CooMatrix<float>
@@ -184,7 +187,7 @@ BM_SchedulerReplayKernelTraces(benchmark::State &state)
     auto capture = std::make_shared<analysis::TraceCapture>();
     const upmem::UpmemSystem sys(launch.sysCfg, {capture});
     core::makeKernel<core::PlusTimes>(launch.variant, sys, launch.adj,
-                                      64)
+                                      sys.numDpus())
         ->run(launch.x);
     auto launches = capture->take();
     if (launches.size() != 1) {
@@ -233,7 +236,7 @@ BM_TraceRecord(benchmark::State &state)
     auto counter = std::make_shared<RecordCounter>();
     const upmem::UpmemSystem sys(launch.sysCfg, {counter});
     const auto kernel = core::makeKernel<core::PlusTimes>(
-        launch.variant, sys, launch.adj, 64);
+        launch.variant, sys, launch.adj, sys.numDpus());
     for (auto _ : state) {
         auto result = kernel->run(launch.x);
         benchmark::DoNotOptimize(result.y.data());
@@ -534,8 +537,12 @@ BENCHMARK(BM_SchedulerReplayShortRecords)->Arg(1 << 8)->Arg(1 << 11)
 BENCHMARK(BM_SchedulerReplayDmaBound)->Arg(1 << 8)->Arg(1 << 11)
     ->UseRealTime();
 // 0 = CSC-2D, 1 = DCOO-2D.
-BENCHMARK(BM_SchedulerReplayKernelTraces)->Arg(0)->Arg(1)->UseRealTime();
-BENCHMARK(BM_TraceRecord)->Arg(0)->Arg(1)->UseRealTime();
+BENCHMARK(BM_SchedulerReplayKernelTraces)
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
+    ->UseRealTime();
+BENCHMARK(BM_TraceRecord)->Arg(0)->Arg(1)->Arg(2)->UseRealTime();
 // 0 = road_traverse-shaped slots, 1 = dense_ppr-shaped slots.
 BENCHMARK(BM_HostMerge)->Arg(0)->Arg(1)->UseRealTime();
 BENCHMARK(BM_ProfileFold)->Arg(256)->Arg(2048)->UseRealTime();

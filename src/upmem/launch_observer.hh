@@ -9,11 +9,13 @@
  *  - onLaunchBegin(): once, before any DPU is simulated;
  *  - onDpuTraces(): once per recorded DPU, with the per-tasklet
  *    traces the kernel recorded, before the revolver replay consumes
- *    them. An idle DPU whose profile the kernel already knows is not
- *    recorded unless an observer's requirements() ask for the traces
- *    of every DPU. This hook runs *concurrently* from the launch
- *    worker pool, so implementations must synchronize their own
- *    state;
+ *    them. The traces are valid only during the call: the system
+ *    records the next DPU into the same buffers, so an observer that
+ *    keeps them copies them. An idle DPU whose profile the kernel
+ *    already knows is not recorded unless an observer's
+ *    requirements() ask for the traces of every DPU. This hook runs
+ *    *concurrently* from the launch worker pool, so implementations
+ *    must synchronize their own state;
  *  - onLaunchEnd(): once, on the launching thread, after the serial
  *    profile fold, with every DPU's profile in DPU order.
  *
@@ -85,7 +87,8 @@ class LaunchObserver
 
     /** DPU `dpu` recorded `traces` (one per tasklet) under `cfg`.
      * Called concurrently from the launch worker pool, for every DPU
-     * only under TracesOfEveryDpu. */
+     * only under TracesOfEveryDpu. `traces` is valid only during the
+     * call; copy what must outlive it. */
     virtual void onDpuTraces(unsigned /*dpu*/,
                              const std::vector<TaskletTrace> & /*traces*/,
                              const DpuConfig & /*cfg*/)

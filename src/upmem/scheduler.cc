@@ -47,15 +47,132 @@ constexpr std::uint64_t noKey = ~std::uint64_t{0};
 /** Mutable replay state of one tasklet. */
 struct TaskletState
 {
-    std::size_t rec = 0;        ///< current record index
-    std::uint32_t remaining = 0; ///< ops left in the current record
-    Cycles ready = 0;           ///< earliest next dispatch cycle
+    const TraceRecord *rec = nullptr; ///< current record
+    const TraceRecord *end = nullptr; ///< one past the last record
+    std::uint32_t remaining = 0; ///< dispatches left in the current record
+    std::uint32_t sigState = 0;  ///< RF bank signature LCG state
+    Cycles ready = 0;            ///< earliest next dispatch cycle
+    Cycles finishTime = 0;       ///< cycle after its last dispatch
+    Cycles blockedCycles = 0;    ///< DMA / barrier inactive time
     WaitKind wait = WaitKind::None;
     bool finished = false;
-    bool blocks = false;        ///< keeps the fast path shut (see run())
-    Cycles finishTime = 0;      ///< cycle after its last dispatch
-    Cycles blockedCycles = 0;   ///< DMA / barrier inactive time
-    std::uint32_t sigState = 0; ///< RF bank signature LCG state
+    bool blocks = false;         ///< keeps the fast path shut (see run())
+    // The current record, decoded once when it becomes current.
+    bool ops = false;            ///< it is an Ops record
+    bool alu = false;            ///< ... of an ALU class
+
+    /** Make `*rec` current. */
+    void
+    load()
+    {
+        ops = rec->kind == RecordKind::Ops;
+        alu = ops && isAluClass(rec->cls);
+        remaining = ops ? rec->count : 1;
+    }
+
+    /** Move to the next record; false when there is none, so the
+     * tasklet has finished. */
+    bool
+    advance()
+    {
+        if (++rec == end) {
+            finished = true;
+            ops = alu = false;
+            return false;
+        }
+        load();
+        return true;
+    }
+
+    /** True when the next dispatch consumes the tasklet's last op. */
+    bool lastOp() const { return remaining == 1 && rec + 1 == end; }
+
+    /**
+     * Recompute `blocks` from the current state: the tasklet spins on
+     * a mutex, or is runnable but not inside an Ops record with at
+     * least fastPathMinRounds ops left. Returns the change to the
+     * count of blocking tasklets.
+     */
+    int
+    refreshBlocks()
+    {
+        const bool now =
+            wait == WaitKind::Mutex ||
+            (!finished && wait == WaitKind::None &&
+             (!ops || remaining < fastPathMinRounds));
+        const int delta = int{now} - int{blocks};
+        blocks = now;
+        return delta;
+    }
+};
+
+/** One barrier id: its arrivals so far and, per instance, how many
+ * tasklets take part in it. */
+struct BarrierState
+{
+    /** Instance b waits for exactly the tasklets that arrive here at
+     * least b+1 times. */
+    std::vector<unsigned> quorums;
+    unsigned instance = 0;     ///< how many releases have happened
+    unsigned arrived = 0;
+    std::uint32_t waiters = 0; ///< parked tasklets, one bit each
+    unsigned hits = 0;         ///< set-up only: one tasklet's arrivals
+};
+
+/**
+ * The pipeline state each per-instruction dispatch advances, and the
+ * counters it charges. It is small enough to copy in O(1): an Ops
+ * burst works on a local copy, which the compiler can keep in
+ * registers.
+ */
+struct DispatchClock
+{
+    Cycles gap = 0;                ///< revolverGap
+    std::uint32_t bankMask = 0;    ///< one bit per RF bank signature bit
+    Cycles nextSlot = 0;           ///< first cycle no dispatch has used
+    std::uint32_t lastBankSig = ~0u;
+    bool lastWasAlu = false;
+    std::array<Cycles, static_cast<std::size_t>(StallReason::NumReasons)>
+        stalls{};
+
+    Cycles &
+    stall(StallReason reason)
+    {
+        return stalls[static_cast<std::size_t>(reason)];
+    }
+
+    /**
+     * Issue one instruction of `ts`: charge the idle slots before it
+     * to `idle`, the constraint that held it back, apply the
+     * register-file bank hazard, and return the dispatch cycle.
+     */
+    Cycles
+    issue(TaskletState &ts, StallReason idle)
+    {
+        Cycles at = std::max(ts.ready, nextSlot);
+        stall(idle) += at - nextSlot;
+
+        // Back-to-back ALU dispatches with colliding signatures cost
+        // one bubble cycle. Only ALU dispatches advance the tasklet's
+        // signature generator.
+        const std::uint32_t sig_state =
+            ts.sigState * 1103515245u + 12345u;
+        const std::uint32_t sig = (sig_state >> 16) & bankMask;
+        ts.sigState = ts.alu ? sig_state : ts.sigState;
+        const Cycles bubble = ts.alu & lastWasAlu & (at == nextSlot) &
+                              (sig == lastBankSig);
+        stall(StallReason::RfHazard) += bubble;
+        at += bubble;
+        // Read only after another ALU dispatch, which sets it.
+        lastBankSig = sig;
+        lastWasAlu = ts.alu;
+
+        nextSlot = at + 1;
+        ts.finishTime = at + 1;
+        ts.wait = WaitKind::None;
+        ts.ready = at + gap;
+        return at;
+    }
 };
 
 /**
@@ -94,6 +211,26 @@ class RunQueue
     {
         slots_[(head_ + size_) % taskletCeiling] = key;
         ++size_;
+    }
+
+    /**
+     * Requeue the front at the back, with key `next(front)`, for as
+     * long as `next` returns a key (it must be no smaller than every
+     * queued one); stop at the first noKey, with that front still
+     * queued. The head is held in a local meanwhile.
+     */
+    template <typename Next>
+    void
+    rotateWhile(Next &&next)
+    {
+        unsigned head = head_;
+        const unsigned size = size_;
+        for (std::uint64_t key; (key = next(slots_[head])) != noKey;) {
+            slots_[head] = noKey;
+            slots_[(head + size) % taskletCeiling] = key;
+            head = (head + 1) % taskletCeiling;
+        }
+        head_ = head;
     }
 
     void
@@ -157,85 +294,66 @@ RevolverScheduler::run(const std::vector<TaskletTrace> &traces) const
                  "tasklet count above the scheduler's tasklet ceiling");
 
     DpuProfile profile;
-    auto stall = [&](StallReason reason) -> Cycles & {
-        return profile.stallCycles[static_cast<std::size_t>(reason)];
-    };
     const Cycles gap = cfg_.revolverGap;
 
-    std::vector<TaskletState> state(num);
+    // One pass over every record sizes the flat mutex and barrier
+    // tables (no hash lookups while dispatching) and counts each
+    // barrier instance's quorum. It also takes the instruction mix and
+    // the DMA traffic: every record is dispatched exactly once, Ops
+    // records `count` times, whichever path retires it. Only a failed
+    // lock attempt, which leaves its record in place, is counted at
+    // dispatch.
+    std::array<TaskletState, taskletCeiling> state;
+    std::vector<BarrierState> barriers;
+    std::uint32_t max_mutex = 0;
     unsigned live = 0;
     for (unsigned t = 0; t < num; ++t) {
-        state[t].sigState = 0x9e3779b9u * (t + 1);
-        state[t].remaining = 0;
-        if (traces[t].empty()) {
-            state[t].finished = true;
-        } else {
-            ++live;
-            const auto &first = traces[t].records()[0];
-            state[t].remaining =
-                first.kind == RecordKind::Ops ? first.count : 1;
+        TaskletState &ts = state[t];
+        const std::vector<TraceRecord> &records = traces[t].records();
+        ts.sigState = 0x9e3779b9u * (t + 1);
+        ts.rec = records.data();
+        ts.end = ts.rec + records.size();
+        if (records.empty()) {
+            ts.finished = true;
+            continue;
+        }
+        ++live;
+        ts.load();
+        for (BarrierState &b : barriers)
+            b.hits = 0;
+        for (const TraceRecord &r : records) {
+            profile.instrByClass[static_cast<std::size_t>(r.cls)] +=
+                r.kind == RecordKind::Ops ? r.count : 1;
+            switch (r.kind) {
+              case RecordKind::Ops:
+                break;
+              case RecordKind::Dma:
+                (r.cls == OpClass::DmaRead ? profile.mramReadBytes
+                                           : profile.mramWriteBytes) +=
+                    r.arg;
+                break;
+              case RecordKind::Mutex:
+                max_mutex = std::max(max_mutex, r.arg);
+                break;
+              case RecordKind::Barrier: {
+                if (r.arg >= barriers.size())
+                    barriers.resize(r.arg + std::size_t{1});
+                BarrierState &b = barriers[r.arg];
+                if (b.hits == b.quorums.size())
+                    b.quorums.push_back(0);
+                ++b.quorums[b.hits++];
+                break;
+              }
+            }
         }
     }
     if (live == 0)
         return profile;
+    std::vector<int> mutex_holder(max_mutex + std::size_t{1}, -1);
 
-
-    struct BarrierInstance
-    {
-        unsigned instance = 0; ///< how many releases have happened
-        unsigned arrived = 0;
-        std::uint32_t waiters = 0; ///< parked tasklets, one bit each
-    };
-    // Flat tables sized by the largest id in the traces keep the
-    // dispatch loop free of hash lookups.
-    std::uint32_t max_mutex = 0, max_barrier = 0;
-    for (unsigned t = 0; t < num; ++t) {
-        for (const auto &r : traces[t].records()) {
-            if (r.kind == RecordKind::Mutex)
-                max_mutex = std::max(max_mutex, r.arg);
-            else if (r.kind == RecordKind::Barrier)
-                max_barrier = std::max(max_barrier, r.arg);
-        }
-    }
-    std::vector<BarrierInstance> barriers(max_barrier + 1);
-    std::vector<int> mutex_holder(max_mutex + 1, -1);
-
-    // How many times each tasklet hits each barrier id, so instance
-    // b of a barrier waits for exactly the tasklets that reach it
-    // at least b+1 times.
-    std::vector<unsigned> barrier_hits(
-        static_cast<std::size_t>(num) * (max_barrier + 1), 0);
-    for (unsigned t = 0; t < num; ++t) {
-        for (const auto &r : traces[t].records()) {
-            if (r.kind == RecordKind::Barrier)
-                ++barrier_hits[t * (max_barrier + 1) + r.arg];
-        }
-    }
-
-    /** Number of tasklets that participate in the given barrier
-     * instance (arrive at least `instance + 1` times). */
-    auto barrier_quorum = [&](std::uint32_t id, unsigned instance) {
-        unsigned quorum = 0;
-        for (unsigned t = 0; t < num; ++t) {
-            if (barrier_hits[t * (max_barrier + 1) + id] > instance)
-                ++quorum;
-        }
-        return quorum;
-    };
-
-    auto advance_record = [&](TaskletState &ts, unsigned t) {
-        ++ts.rec;
-        if (ts.rec >= traces[t].records().size()) {
-            ts.finished = true;
+    auto advance_record = [&](TaskletState &ts) {
+        if (!ts.advance())
             --live;
-            return;
-        }
-        const auto &r = traces[t].records()[ts.rec];
-        ts.remaining = r.kind == RecordKind::Ops ? r.count : 1;
-    };
-
-    auto count_instr = [&](OpClass cls) {
-        ++profile.instrByClass[static_cast<std::size_t>(cls)];
     };
 
     // ---- Run queue ----
@@ -278,27 +396,14 @@ RevolverScheduler::run(const std::vector<TaskletTrace> &traces) const
     // dispatch, a barrier release, a fast-path window), and the fast
     // path is tried only when the count is zero.
     unsigned blocking = 0;
-    auto refresh_blocks = [&](unsigned t) {
-        TaskletState &ts = state[t];
-        const bool blocks =
-            ts.wait == WaitKind::Mutex ||
-            (!ts.finished && ts.wait == WaitKind::None &&
-             (traces[t].records()[ts.rec].kind != RecordKind::Ops ||
-              ts.remaining < fastPathMinRounds));
-        blocking += blocks;
-        blocking -= ts.blocks;
-        ts.blocks = blocks;
-    };
     for (unsigned t = 0; t < num; ++t) {
-        refresh_blocks(t);
+        blocking += state[t].refreshBlocks();
         enqueue(t);
     }
 
-    // The first cycle no dispatch has used yet.
-    Cycles next_slot = 0;
-    std::uint32_t last_bank_sig = ~0u;
-    bool last_was_alu = false;
-    const std::uint32_t bank_mask = (1u << cfg_.rfBankBits) - 1u;
+    DispatchClock clock;
+    clock.gap = gap;
+    clock.bankMask = (1u << cfg_.rfBankBits) - 1u;
     // The DPU has a single DMA engine: transfers from different
     // tasklets serialize, capping per-DPU MRAM bandwidth at
     // dmaBytesPerCycle.
@@ -315,7 +420,7 @@ RevolverScheduler::run(const std::vector<TaskletTrace> &traces) const
         if (k == 0)
             return false;
         const Cycles start =
-            std::max(runnable.front() >> keyIndexBits, next_slot);
+            std::max(runnable.front() >> keyIndexBits, clock.nextSlot);
         // Round length: packed when the pipeline can be full.
         const Cycles round = std::max<Cycles>(k, gap);
         std::uint64_t rounds = ~std::uint64_t{0};
@@ -334,14 +439,13 @@ RevolverScheduler::run(const std::vector<TaskletTrace> &traces) const
             members |= 1u << (runnable[i] & keyIndexMask);
         unsigned alu_count = 0;
         for (std::uint32_t m = members; m != 0; m &= m - 1) {
-            const auto t = static_cast<unsigned>(std::countr_zero(m));
-            rounds = std::min<std::uint64_t>(rounds, state[t].remaining);
-            alu_count +=
-                isAluClass(traces[t].records()[state[t].rec].cls);
+            const TaskletState &ts = state[std::countr_zero(m)];
+            rounds = std::min<std::uint64_t>(rounds, ts.remaining);
+            alu_count += ts.alu;
         }
 
         // Leading idle gap before the window is revolver-bound.
-        stall(StallReason::Revolver) += start - next_slot;
+        clock.stall(StallReason::Revolver) += start - clock.nextSlot;
 
         // Expected register-bank hazards in packed mode.
         Cycles hazards = 0;
@@ -356,37 +460,80 @@ RevolverScheduler::run(const std::vector<TaskletTrace> &traces) const
         }
 
         const Cycles span = (rounds - 1) * round + k + hazards;
-        if (k < gap)
-            stall(StallReason::Revolver) += (rounds - 1) * (round - k);
-        stall(StallReason::RfHazard) += hazards;
-        profile.issuedCycles += rounds * k;
+        if (k < gap) {
+            clock.stall(StallReason::Revolver) +=
+                (rounds - 1) * (round - k);
+        }
+        clock.stall(StallReason::RfHazard) += hazards;
 
         runnable.clear();
         unsigned j = 0;
         for (std::uint32_t m = members; m != 0; m &= m - 1, ++j) {
             const auto t = static_cast<unsigned>(std::countr_zero(m));
             TaskletState &ts = state[t];
-            const TraceRecord &r = traces[t].records()[ts.rec];
-            profile.instrByClass[static_cast<std::size_t>(r.cls)] +=
-                rounds;
             ts.remaining -= static_cast<std::uint32_t>(rounds);
             const Cycles own_last =
                 start + (rounds - 1) * round + j + hazards;
             ts.finishTime = own_last + 1;
             ts.ready = own_last + gap;
             if (ts.remaining == 0)
-                advance_record(ts, t);
-            refresh_blocks(t);
+                advance_record(ts);
+            blocking += ts.refreshBlocks();
             enqueue(t);
         }
-        next_slot = start + span;
-        last_was_alu = false; // window boundary: no carried hazard
+        clock.nextSlot = start + span;
+        clock.lastWasAlu = false; // window boundary: no carried hazard
         return true;
     };
 
+    // An Ops dispatch: what the generic pick and the burst both do
+    // after DispatchClock::issue(). Together they are the one Ops
+    // dispatch rule.
+    auto retire_op = [&](TaskletState &ts) {
+        if (--ts.remaining == 0)
+            advance_record(ts);
+    };
+
+    // ---- Ops burst ----
+    // While something blocks the fast path and the run queue's front
+    // is due before every DMA waiter and sits in an Ops record, the
+    // generic pick would take that front and dispatch one op of it.
+    // The burst does exactly that, without the pick and the kind
+    // switch, and requeues it at the back. It stops wherever the
+    // generic loop would do anything else: the blocking count reaches
+    // zero (so the fast path is tried exactly where it would be), a
+    // DMA waiter falls due, a non-Ops record or a spinner reaches the
+    // front, or the front's next op is its tasklet's last. It works on
+    // copies of the clock and the blocking count, so it starts and
+    // stops in O(1).
+    auto ops_burst = [&] {
+        DispatchClock burst = clock;
+        unsigned burst_blocking = blocking;
+        const std::uint64_t dma_due = dma_waiters.min();
+        runnable.rotateWhile([&](std::uint64_t key) -> std::uint64_t {
+            const auto t = static_cast<unsigned>(key & keyIndexMask);
+            TaskletState &ts = state[t];
+            if (burst_blocking == 0 || key >= dma_due || !ts.ops ||
+                ts.lastOp())
+                return noKey;
+            burst.issue(ts, StallReason::Revolver);
+            retire_op(ts);
+            burst_blocking += ts.refreshBlocks();
+            return ts.ready << keyIndexBits | t;
+        });
+        clock = burst;
+        blocking = burst_blocking;
+    };
+
     while (live > 0) {
-        if (blocking == 0 && try_fast_path())
-            continue;
+        if (blocking == 0) {
+            if (try_fast_path())
+                continue;
+        } else {
+            ops_burst();
+            if (blocking == 0)
+                continue;
+        }
 
         const std::uint64_t best =
             std::min(runnable.front(), dma_waiters.min());
@@ -399,54 +546,17 @@ RevolverScheduler::run(const std::vector<TaskletTrace> &traces) const
         const auto chosen = static_cast<unsigned>(best & keyIndexMask);
 
         TaskletState &ts = state[chosen];
-        Cycles dispatch_at = std::max(ts.ready, next_slot);
-
-        // Attribute the idle gap to the constraint that held the
-        // earliest-ready tasklet.
-        stall(idleReason[static_cast<std::size_t>(ts.wait)]) +=
-            dispatch_at - next_slot;
-
-        const TraceRecord &r = traces[chosen].records()[ts.rec];
-
-        // Register-file bank hazard: back-to-back ALU dispatches with
-        // colliding signatures cost one bubble cycle. Only ALU
-        // dispatches advance the tasklet's signature generator.
-        const bool alu = r.kind == RecordKind::Ops && isAluClass(r.cls);
-        const std::uint32_t sig_state =
-            ts.sigState * 1103515245u + 12345u;
-        const std::uint32_t sig = (sig_state >> 16) & bank_mask;
-        ts.sigState = alu ? sig_state : ts.sigState;
-        const Cycles bubble = alu & last_was_alu &
-                              (dispatch_at == next_slot) &
-                              (sig == last_bank_sig);
-        stall(StallReason::RfHazard) += bubble;
-        dispatch_at += bubble;
-        // Read only after another ALU dispatch, which sets it.
-        last_bank_sig = sig;
-        last_was_alu = alu;
-
-        // Dispatch.
-        ++profile.issuedCycles;
-        next_slot = dispatch_at + 1;
-        ts.finishTime = dispatch_at + 1;
-        ts.wait = WaitKind::None;
-        ts.ready = dispatch_at + gap;
+        const TraceRecord &r = *ts.rec;
+        const Cycles dispatch_at = clock.issue(
+            ts, idleReason[static_cast<std::size_t>(ts.wait)]);
         // Tasklets whose state this dispatch changed, one bit each.
         std::uint32_t moved = 1u << chosen;
 
         switch (r.kind) {
-          case RecordKind::Ops: {
-            count_instr(r.cls);
-            if (--ts.remaining == 0)
-                advance_record(ts, chosen);
+          case RecordKind::Ops:
+            retire_op(ts);
             break;
-          }
           case RecordKind::Dma: {
-            count_instr(r.cls);
-            if (r.cls == OpClass::DmaRead)
-                profile.mramReadBytes += r.arg;
-            else
-                profile.mramWriteBytes += r.arg;
             const auto xfer = static_cast<Cycles>(std::ceil(
                 static_cast<double>(r.arg) / cfg_.dmaBytesPerCycle));
             const Cycles start =
@@ -464,27 +574,28 @@ RevolverScheduler::run(const std::vector<TaskletTrace> &traces) const
                 ts.blockedCycles += complete - ts.ready;
                 ts.ready = complete;
             }
-            advance_record(ts, chosen);
+            advance_record(ts);
             break;
           }
           case RecordKind::Mutex: {
             if (r.count == 1) {
                 // Lock attempt.
-                count_instr(OpClass::MutexLock);
                 if (cfg_.hardwareAtomics) {
                     // Future hardware: single-instruction atomic
                     // update, no exclusion window.
-                    advance_record(ts, chosen);
+                    advance_record(ts);
                 } else if (mutex_holder[r.arg] < 0) {
                     mutex_holder[r.arg] = static_cast<int>(chosen);
-                    advance_record(ts, chosen);
+                    advance_record(ts);
                 } else {
                     // Spin: retry after the revolver gap; the record
-                    // is not consumed.
+                    // is not consumed, and the retry is one more
+                    // MutexLock instruction.
                     ts.wait = WaitKind::Mutex;
+                    ++profile.instrByClass[static_cast<std::size_t>(
+                        OpClass::MutexLock)];
                 }
             } else {
-                count_instr(OpClass::MutexUnlock);
                 if (!cfg_.hardwareAtomics) {
                     ALPHA_ASSERT(mutex_holder[r.arg] ==
                                      static_cast<int>(chosen),
@@ -492,32 +603,29 @@ RevolverScheduler::run(const std::vector<TaskletTrace> &traces) const
                                  "does not hold");
                     mutex_holder[r.arg] = -1;
                 }
-                advance_record(ts, chosen);
+                advance_record(ts);
             }
             break;
           }
           case RecordKind::Barrier: {
-            count_instr(OpClass::Barrier);
-            auto &b = barriers[r.arg];
+            BarrierState &b = barriers[r.arg];
             ++b.arrived;
-            const unsigned quorum = barrier_quorum(r.arg, b.instance);
-            ALPHA_ASSERT(quorum > 0, "barrier with no participants");
-            if (b.arrived >= quorum) {
+            ALPHA_ASSERT(b.instance < b.quorums.size(),
+                         "barrier with no participants");
+            if (b.arrived >= b.quorums[b.instance]) {
                 // Release everyone parked here (and this tasklet).
                 for (std::uint32_t m = b.waiters; m != 0; m &= m - 1) {
-                    const auto w =
-                        static_cast<unsigned>(std::countr_zero(m));
-                    TaskletState &ws = state[w];
+                    TaskletState &ws = state[std::countr_zero(m)];
                     ws.wait = WaitKind::None;
                     ws.blockedCycles += dispatch_at + 1 - ws.ready;
                     ws.ready = dispatch_at + gap;
-                    advance_record(ws, w);
+                    advance_record(ws);
                 }
                 moved |= b.waiters;
                 b.waiters = 0;
                 b.arrived = 0;
                 ++b.instance;
-                advance_record(ts, chosen);
+                advance_record(ts);
             } else {
                 ts.wait = WaitKind::Barrier;
                 ts.ready = dispatch_at + 1; // parked; reset on release
@@ -529,17 +637,21 @@ RevolverScheduler::run(const std::vector<TaskletTrace> &traces) const
 
         for (std::uint32_t m = moved; m != 0; m &= m - 1) {
             const auto t = static_cast<unsigned>(std::countr_zero(m));
-            refresh_blocks(t);
+            blocking += state[t].refreshBlocks();
             enqueue(t);
         }
     }
 
-    profile.totalCycles = next_slot;
+    profile.totalCycles = clock.nextSlot;
     if (horizon > profile.totalCycles) {
         // Drain outstanding DMAs: the tail is memory-stall time.
-        stall(StallReason::Memory) += horizon - profile.totalCycles;
+        clock.stall(StallReason::Memory) +=
+            horizon - profile.totalCycles;
         profile.totalCycles = horizon;
     }
+    // Every dispatch slot issues one instruction.
+    profile.issuedCycles = profile.totalInstructions();
+    profile.stallCycles = clock.stalls;
 
     // Active-thread integral: a tasklet is active from launch until
     // its last dispatch, minus time parked on DMA or barriers.

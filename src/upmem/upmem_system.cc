@@ -113,6 +113,51 @@ traceLaunch(const SystemConfig &cfg,
     t.advance(kernel);
 }
 
+/**
+ * The tasklet traces one DPU records into. Each host thread keeps one
+ * set and lends it to every DPU it simulates, across launches, so
+ * clearing keeps every tasklet's capacity and records stop regrowing
+ * from empty on every DPU. A launch nested in `generate` runs its
+ * DPUs on the same thread while the outer DPU's set is still being
+ * filled; they record into a set of their own.
+ */
+class DpuTraceSet
+{
+  public:
+    /** Borrow this thread's set, or make one when it is lent out;
+     * either way sized to `tasklets` and cleared. */
+    explicit DpuTraceSet(unsigned tasklets)
+        : borrowed_(!lent), traces_(borrowed_ ? kept : own_)
+    {
+        lent = true;
+        traces_.resize(tasklets);
+        for (TaskletTrace &trace : traces_)
+            trace.clear();
+    }
+
+    ~DpuTraceSet()
+    {
+        if (borrowed_)
+            lent = false;
+    }
+
+    DpuTraceSet(const DpuTraceSet &) = delete;
+    DpuTraceSet &operator=(const DpuTraceSet &) = delete;
+
+    std::vector<TaskletTrace> &traces() { return traces_; }
+
+  private:
+    static thread_local std::vector<TaskletTrace> kept;
+    static thread_local bool lent;
+
+    const bool borrowed_;
+    std::vector<TaskletTrace> own_;
+    std::vector<TaskletTrace> &traces_;
+};
+
+thread_local std::vector<TaskletTrace> DpuTraceSet::kept;
+thread_local bool DpuTraceSet::lent = false;
+
 } // namespace
 
 UpmemSystem::UpmemSystem(SystemConfig cfg, LaunchObservers observers)
@@ -178,7 +223,8 @@ UpmemSystem::launchKernel(
     workers_->run(jobs, [&](std::size_t item) {
         const unsigned dpu =
             skipping ? simulated[item] : static_cast<unsigned>(item);
-        std::vector<TaskletTrace> traces(cfg_.dpu.tasklets);
+        DpuTraceSet set(cfg_.dpu.tasklets);
+        std::vector<TaskletTrace> &traces = set.traces();
         {
             telemetry::HostPhaseTimer timer(
                 telemetry::HostPhase::TraceRecord);

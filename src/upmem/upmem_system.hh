@@ -61,7 +61,10 @@ class UpmemSystem
      * kernel functionally and records per-tasklet traces (the vector
      * arrives pre-sized to config().dpu.tasklets and cleared); the
      * traces are then replayed through the revolver scheduler, and
-     * the observers are notified with `info`.
+     * the observers are notified with `info`. Each host thread records
+     * its DPUs into one reused set of trace buffers, so `traces` is
+     * valid only during the call; a launch made from inside
+     * `generate` records into buffers of its own.
      *
      * DPUs are simulated concurrently on the system's worker pool,
      * sized by the ALPHA_PIM_THREADS limit, so `generate` must only

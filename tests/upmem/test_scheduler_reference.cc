@@ -4,14 +4,17 @@
  * replayer (reference_replayer.hh), the timing model written by its
  * definition. Every DpuProfile field must match on the fuzz corpus,
  * on the golden corpus at every tasklet count and configuration
- * variant, and on per-DPU traces captured from real launches of all
- * nine kernel variants.
+ * variant, on trace sets built to end the scheduler's Ops bursts in
+ * each way one can end, and on per-DPU traces captured from real
+ * launches of all nine kernel variants under four semirings.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/random.hh"
 #include "core/kernels.hh"
@@ -102,6 +105,91 @@ launchAllVariants(const UpmemSystem &sys, const sparse::CooMatrix<float> &a)
         core::makeKernel<S>(variant, sys, a, sys.numDpus())->run(x);
 }
 
+/** Trace sets built so that the scheduler's Ops burst runs and then
+ * has to stop, each in one way. Tasklet 0 keeps the fast path shut
+ * with one-op records of alternating classes while the others run. */
+std::vector<std::pair<std::string, std::vector<TaskletTrace>>>
+burstStopCases(std::uint64_t seed, unsigned tasklets)
+{
+    Rng rng(seed);
+    auto draw = [&](std::uint64_t bound) {
+        return static_cast<std::uint32_t>(rng.nextBounded(bound));
+    };
+    constexpr OpClass aluClasses[] = {OpClass::IntAdd, OpClass::Logic,
+                                      OpClass::FloatMul,
+                                      OpClass::Compare};
+    auto blocker = [&](TaskletTrace &trace, unsigned records) {
+        for (unsigned i = 0; i < records; ++i)
+            trace.ops(i % 2 ? OpClass::Move : OpClass::Control);
+    };
+    auto run = [&](TaskletTrace &trace, std::uint32_t ops) {
+        trace.ops(aluClasses[draw(4)], ops);
+    };
+    std::vector<std::pair<std::string, std::vector<TaskletTrace>>> cases;
+
+    // A DMA waiter falls due while the others burst through their runs.
+    std::vector<TaskletTrace> dma_due(tasklets);
+    blocker(dma_due[0], 400);
+    for (unsigned t = 1; t < tasklets; ++t) {
+        if (t % 3 == 1)
+            dma_due[t].dmaRead(8 + 8 * draw(64));
+        run(dma_due[t], 20 + draw(60));
+        dma_due[t].dmaWrite(8 + 8 * draw(16));
+        run(dma_due[t], 20 + draw(60));
+    }
+    cases.emplace_back("dma waiter falls due", std::move(dma_due));
+
+    // A Dma, Mutex or Barrier record reaches the run queue's front.
+    std::vector<TaskletTrace> kinds(tasklets);
+    blocker(kinds[0], 300);
+    kinds[0].barrier(0);
+    for (unsigned t = 1; t < tasklets; ++t) {
+        run(kinds[t], 5 + draw(30));
+        kinds[t].dmaRead(8 + 8 * draw(16));
+        run(kinds[t], 5 + draw(30));
+        kinds[t].mutexLock(t % 2);
+        kinds[t].ops(OpClass::LoadWram, 1 + draw(3));
+        kinds[t].mutexUnlock(t % 2);
+        run(kinds[t], 5 + draw(30));
+        kinds[t].barrier(0);
+        run(kinds[t], 5 + draw(30));
+    }
+    cases.emplace_back("non-Ops record at the front", std::move(kinds));
+
+    // Spinners reach the front: long critical sections on one mutex.
+    std::vector<TaskletTrace> spin(tasklets);
+    blocker(spin[0], 200);
+    for (unsigned t = 1; t < tasklets; ++t) {
+        run(spin[t], 1 + draw(12));
+        spin[t].mutexLock(0);
+        run(spin[t], 20 + draw(40));
+        spin[t].mutexUnlock(0);
+        run(spin[t], 1 + draw(12));
+    }
+    cases.emplace_back("spinner at the front", std::move(spin));
+
+    // The blocking count reaches zero: short records drain, then long
+    // ALU runs leave the fast path open.
+    std::vector<TaskletTrace> zero(tasklets);
+    for (unsigned t = 0; t < tasklets; ++t) {
+        blocker(zero[t], 1 + draw(3) + t % 2);
+        run(zero[t], 60 + draw(200));
+        blocker(zero[t], 1 + draw(2));
+        run(zero[t], 60 + draw(200));
+    }
+    cases.emplace_back("blocking count reaches zero", std::move(zero));
+
+    // Tasklets finish in the middle of the others' runs.
+    std::vector<TaskletTrace> finish(tasklets);
+    blocker(finish[0], 250);
+    for (unsigned t = 1; t < tasklets; ++t) {
+        run(finish[t], 1 + draw(8));
+        run(finish[t], 3 + t + draw(40));
+    }
+    cases.emplace_back("tasklet finishes", std::move(finish));
+    return cases;
+}
+
 } // namespace
 
 TEST(SchedulerReference, MatchesOnFuzzCorpus)
@@ -135,27 +223,55 @@ TEST(SchedulerReference, MatchesOnGoldenCorpus)
     }
 }
 
+
+TEST(SchedulerReference, MatchesWhereOpsBurstsStop)
+{
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        for (unsigned tasklets : {2u, 5u, 11u, 16u, 24u}) {
+            for (const auto &[name, traces] : burstStopCases(seed, tasklets)) {
+                DpuConfig cfg;
+                cfg.tasklets = tasklets;
+                expectMatchesReference(cfg, traces,
+                                       name + " seed " +
+                                           std::to_string(seed) +
+                                           " tasklets " +
+                                           std::to_string(tasklets));
+            }
+        }
+    }
+}
+
 TEST(SchedulerReference, MatchesOnKernelTraces)
 {
-    auto recorder = std::make_shared<LaunchRecorder>();
-    SystemConfig cfg;
-    cfg.numDpus = 16;
-    const UpmemSystem sys(cfg, {recorder});
     Rng rng(5);
     const auto a = sparse::edgeListToSymmetricCoo(
         sparse::generateScaleMatched(1000, 10, 30, rng));
-    launchAllVariants<core::PlusTimes>(sys, a);
-    launchAllVariants<core::IntPlusTimes>(sys, a);
+    // At 512 DPUs each tasklet holds one or two entries, the regime of
+    // dense_ppr's 2048-DPU launches; BoolOrAnd and MinPlus are the BFS
+    // and SSSP semirings, whose ops are Logic, and Compare with
+    // FloatAdd.
+    for (const unsigned dpus : {16u, 512u}) {
+        auto recorder = std::make_shared<LaunchRecorder>();
+        SystemConfig cfg;
+        cfg.numDpus = dpus;
+        const UpmemSystem sys(cfg, {recorder});
+        launchAllVariants<core::PlusTimes>(sys, a);
+        launchAllVariants<core::IntPlusTimes>(sys, a);
+        launchAllVariants<core::BoolOrAnd>(sys, a);
+        launchAllVariants<core::MinPlus>(sys, a);
 
-    ASSERT_EQ(recorder->launches.size(), 2 * std::size(allVariants));
-    for (const auto &launch : recorder->launches) {
-        std::uint64_t instructions = 0;
-        for (unsigned d = 0; d < launch.traces.size(); ++d) {
-            expectSameProfile(referenceReplay(launch.cfg, launch.traces[d]),
-                              launch.profiles[d],
-                              launch.kernel + " dpu " + std::to_string(d));
-            instructions += launch.profiles[d].totalInstructions();
+        ASSERT_EQ(recorder->launches.size(), 4 * std::size(allVariants));
+        for (const auto &launch : recorder->launches) {
+            const std::string label =
+                launch.kernel + " at " + std::to_string(dpus) + " DPUs";
+            std::uint64_t instructions = 0;
+            for (unsigned d = 0; d < launch.traces.size(); ++d) {
+                expectSameProfile(
+                    referenceReplay(launch.cfg, launch.traces[d]),
+                    launch.profiles[d], label + " dpu " + std::to_string(d));
+                instructions += launch.profiles[d].totalInstructions();
+            }
+            EXPECT_GT(instructions, 0u) << label;
         }
-        EXPECT_GT(instructions, 0u) << launch.kernel;
     }
 }

@@ -1,16 +1,20 @@
 /** @file System facade: launches, aggregation, kernel time, the
  * launch-observer seam and its requirements, known (idle) profiles,
- * and copies that outlive their original. */
+ * copies that outlive their original, and launches nested in a
+ * DPU's generator. */
 
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "analysis/capture.hh"
 #include "common/random.hh"
 #include "core/spmspv.hh"
+#include "expect_profile.hh"
 #include "sparse/generators.hh"
 #include "telemetry/host_prof.hh"
 #include "upmem/upmem_system.hh"
@@ -77,6 +81,64 @@ class FakeObserver : public LaunchObserver
     const unsigned requirements_;
     std::mutex mutex_;
 };
+
+/** Keeps a copy of every DPU's traces, one entry per launch in the
+ * order the launches end. Launches may nest but must not overlap
+ * otherwise: the hooks take no lock. */
+class TraceKeeper : public LaunchObserver
+{
+  public:
+    using Launch = std::vector<std::vector<TaskletTrace>>; ///< per DPU
+
+    unsigned requirements() const override { return TracesOfEveryDpu; }
+
+    void
+    onLaunchBegin(const LaunchInfo &, unsigned num_dpus) override
+    {
+        open_.emplace_back(num_dpus);
+    }
+
+    void
+    onDpuTraces(unsigned dpu, const std::vector<TaskletTrace> &traces,
+                const DpuConfig &) override
+    {
+        open_.back()[dpu] = traces;
+    }
+
+    void
+    onLaunchEnd(const LaunchInfo &, const std::vector<DpuProfile> &,
+                const DpuConfig &) override
+    {
+        ended.push_back(std::move(open_.back()));
+        open_.pop_back();
+    }
+
+    std::vector<Launch> ended;
+
+  private:
+    std::vector<Launch> open_;
+};
+
+void
+expectSameTraces(const TraceKeeper::Launch &want,
+                 const TraceKeeper::Launch &got)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t d = 0; d < want.size(); ++d) {
+        ASSERT_EQ(got[d].size(), want[d].size()) << "dpu " << d;
+        for (std::size_t t = 0; t < want[d].size(); ++t) {
+            const auto &w = want[d][t].records();
+            const auto &g = got[d][t].records();
+            ASSERT_EQ(g.size(), w.size()) << "dpu " << d << " tasklet " << t;
+            for (std::size_t i = 0; i < w.size(); ++i) {
+                EXPECT_TRUE(g[i].kind == w[i].kind && g[i].cls == w[i].cls &&
+                            g[i].count == w[i].count &&
+                            g[i].arg == w[i].arg && g[i].addr == w[i].addr)
+                    << "dpu " << d << " tasklet " << t << " record " << i;
+            }
+        }
+    }
+}
 
 /** A kernel whose DPU `d` issues 10 * (d + 1) adds. */
 void
@@ -150,6 +212,55 @@ TEST(UpmemSystem, TraceVectorPreSizedToTasklets)
                      [&](unsigned, std::vector<TaskletTrace> &traces) {
                          EXPECT_EQ(traces.size(), 7u);
                      });
+}
+
+TEST(UpmemSystem, LaunchNestedInGenerateMatchesAFreshLaunch)
+{
+    // Launches of fewer than four DPUs run serially on their caller,
+    // so the nested DPUs record on the thread whose trace set the
+    // outer DPU is still filling.
+    const auto keeper = std::make_shared<TraceKeeper>();
+    const UpmemSystem sys(smallConfig(4), {keeper});
+    const auto inner = [](unsigned dpu, std::vector<TaskletTrace> &traces) {
+        for (unsigned t = 0; t < traces.size(); ++t) {
+            traces[t].ops(OpClass::Logic, 9 + dpu + t);
+            traces[t].dmaRead(64);
+        }
+    };
+    const auto half = [](unsigned dpu, std::vector<TaskletTrace> &traces,
+                         OpClass cls) {
+        for (unsigned t = 0; t < traces.size(); ++t)
+            traces[t].ops(cls, 20 + 3 * dpu + t);
+    };
+
+    const LaunchProfile fresh_inner = sys.launchKernel(3, inner);
+    const LaunchProfile fresh_outer = sys.launchKernel(
+        2, [&](unsigned dpu, std::vector<TaskletTrace> &traces) {
+            half(dpu, traces, OpClass::IntAdd);
+            half(dpu, traces, OpClass::Compare);
+        });
+    std::vector<LaunchProfile> nested_inner;
+    const LaunchProfile nested_outer = sys.launchKernel(
+        2, [&](unsigned dpu, std::vector<TaskletTrace> &traces) {
+            half(dpu, traces, OpClass::IntAdd);
+            nested_inner.push_back(sys.launchKernel(3, inner));
+            half(dpu, traces, OpClass::Compare);
+        });
+
+    // Ended: fresh inner, fresh outer, one nested inner per outer DPU,
+    // then the nested outer.
+    ASSERT_EQ(keeper->ended.size(), 5u);
+    ASSERT_EQ(nested_inner.size(), 2u);
+    for (unsigned i = 0; i < 2; ++i) {
+        expectSameTraces(keeper->ended[0], keeper->ended[2 + i]);
+        expectSameProfile(fresh_inner.aggregate, nested_inner[i].aggregate,
+                          "nested inner launch " + std::to_string(i));
+        EXPECT_EQ(nested_inner[i].maxCycles, fresh_inner.maxCycles);
+    }
+    expectSameTraces(keeper->ended[1], keeper->ended[4]);
+    expectSameProfile(fresh_outer.aggregate, nested_outer.aggregate,
+                      "outer launch");
+    EXPECT_EQ(nested_outer.maxCycles, fresh_outer.maxCycles);
 }
 
 TEST(UpmemSystemDeath, TooManyDpusRequested)
