@@ -9,8 +9,9 @@
  * the profile fold, the imbalance analysis and the transfer model;
  * trace generation, the CSC-2D and DCOO-2D partition builds, CSR
  * conversion, full CSC-2D and CSC-R SpMSpV launches (one of them
- * road_traverse-shaped, nearly every DPU idle), and the fixed cost of
- * dispatching an empty launch. Each host phase the profiler names
+ * road_traverse-shaped, nearly every DPU idle), full dense_ppr-shaped
+ * DCOO-2D SpMV launches (a kernel's first and a cached one), and the
+ * fixed cost of dispatching an empty launch. Each host phase the profiler names
  * has a benchmark of the same name. These bound the wall-clock cost
  * of the figure benches; all report wall time, since a launch
  * replays on the system's worker pool.
@@ -21,6 +22,7 @@
 #include <atomic>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -434,6 +436,44 @@ BM_SpmspvLaunch(benchmark::State &state)
 }
 
 /**
+ * One full SpMV launch, Load to Merge, shaped like dense_ppr's face
+ * launches: DCOO-2D PlusTimes at 2048 DPUs over face at scale 1 with
+ * every input entry set, on a system without observers. Arg 0 times a
+ * kernel's first launch, which records and replays every DPU and keeps
+ * their profiles; each iteration builds a fresh kernel, untimed. Arg 1
+ * times a later launch, which takes those profiles and runs only the
+ * DPUs' functional bodies.
+ */
+void
+BM_SpmvLaunch(benchmark::State &state)
+{
+    const bool first = state.range(0) == 0;
+    const auto adj = sparse::buildDataset("face", 1.0).adjacency;
+    upmem::SystemConfig sys_cfg;
+    sys_cfg.numDpus = 2048;
+    const upmem::UpmemSystem sys(sys_cfg);
+    sparse::SparseVector<float> x(adj.numRows());
+    for (NodeId v = 0; v < adj.numRows(); ++v)
+        x.append(v, 1.0f / static_cast<float>(adj.numRows()));
+
+    std::optional<core::SpmvDcoo2d<core::PlusTimes>> kernel;
+    kernel.emplace(sys, adj, sys_cfg.numDpus);
+    if (!first)
+        kernel->run(x);
+    for (auto _ : state) {
+        if (first) {
+            state.PauseTiming();
+            kernel.emplace(sys, adj, sys_cfg.numDpus);
+            state.ResumeTiming();
+        }
+        auto result = kernel->run(x);
+        benchmark::DoNotOptimize(result.outputNnz);
+    }
+    state.SetItemsProcessed(state.iterations() * adj.nnz());
+    state.SetLabel(first ? "first launch" : "cached launch");
+}
+
+/**
  * The fixed cost of one launch: launchKernel with an empty body and
  * no observers, so what is left is handing the DPUs to the system's
  * workers, their empty replays and the profile fold. The arg is the
@@ -556,6 +596,8 @@ BENCHMARK(BM_SpmspvLaunch)
     ->Args({0, 0})
     ->Args({0, 1})
     ->UseRealTime();
+// 0 = a fresh kernel's first launch, 1 = a later, cached one.
+BENCHMARK(BM_SpmvLaunch)->Arg(0)->Arg(1)->UseRealTime();
 BENCHMARK(BM_LaunchDispatch)->Arg(32)->Arg(256)->Arg(2048)->UseRealTime();
 // 0 = CSC-2D (column-major), 1 = DCOO-2D (row-major).
 // {CSC-2D 0 | DCOO-2D 1, vertices, DPUs}.

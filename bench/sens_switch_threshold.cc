@@ -7,6 +7,8 @@
  */
 
 #include <cstdio>
+#include <string>
+#include <utility>
 
 #include "apps/graph_apps.hh"
 #include "bench_common.hh"
@@ -63,9 +65,9 @@ main(int argc, char **argv)
             name, TextTable::pct(base_thr, 0)};
         for (std::size_t i = 0; i < offsets.size(); ++i) {
             const double change = (totals[i] - base) / base;
-            cells.push_back(
-                (change >= 0 ? "+" : "") +
-                TextTable::pct(change, 1));
+            std::string cell = change >= 0 ? "+" : "";
+            cell += TextTable::pct(change, 1);
+            cells.push_back(std::move(cell));
         }
         table.addRow(cells);
         ten_point_deltas.push_back(

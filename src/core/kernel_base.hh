@@ -11,7 +11,9 @@
 #ifndef ALPHA_PIM_CORE_KERNEL_BASE_HH
 #define ALPHA_PIM_CORE_KERNEL_BASE_HH
 
+#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -89,6 +91,21 @@ struct DpuSlot
     std::uint64_t semiringOps = 0; ///< semiring add+mul performed
 };
 
+/** What a kernel knows of a launch's DPUs before it runs (see
+ * upmem::KnownProfiles). */
+template <typename V>
+struct KnownSlots
+{
+    /** Empty, or per DPU the profile it replays to; null for the
+     * DPUs to record and replay. */
+    std::vector<const upmem::DpuProfile *> profiles;
+
+    /** Empty, or compute(dpu, slot): a known DPU's body over a null
+     * trace sink, which fills its slot. Without it a known DPU (an
+     * idle one) leaves its slot empty. */
+    std::function<void(unsigned, DpuSlot<V> &)> compute;
+};
+
 /**
  * The host Merge step: add every slot's outputs into `y` in DPU
  * order. The order is fixed, so floating-point sums do not depend on
@@ -118,28 +135,35 @@ foldSlots(const std::vector<DpuSlot<typename S::Value>> &slots,
  *                   record its tasklet traces and fill its own slot
  * @param merge_cost merge_cost(retrieved_bytes, merge_ops): the
  *                   kernel's modeled Merge time over all slots
- * @param idle       empty, or per DPU the cached profile of a DPU
- *                   that gets no work (null for the others): such a
- *                   DPU's body would leave its slot empty, so
- *                   launchKernel may take the profile instead of
- *                   running it
+ * @param known      the DPUs whose profiles the kernel knows, which
+ *                   launchKernel may take instead of recording and
+ *                   replaying them
+ * @param profiles   null, or receives every DPU's profile
  */
 template <Semiring S, typename Body, typename MergeCost>
 MxvResult<typename S::Value>
 launchMxv(const upmem::UpmemSystem &sys, const char *kernel,
           const std::vector<DeviceBlock> &blocks, NodeId n, Seconds load,
           const Body &body, const MergeCost &merge_cost,
-          const std::vector<const upmem::DpuProfile *> &idle = {})
+          KnownSlots<typename S::Value> known = {},
+          std::vector<upmem::DpuProfile> *profiles = nullptr)
 {
     MxvResult<typename S::Value> result;
     result.times.load = load;
     std::vector<DpuSlot<typename S::Value>> slots(blocks.size());
+    upmem::KnownProfiles launch_known{std::move(known.profiles), {}};
+    if (known.compute) {
+        launch_known.compute = [&](unsigned dpu) {
+            known.compute(dpu, slots[dpu]);
+        };
+    }
     result.profile = sys.launchKernel(
         static_cast<unsigned>(blocks.size()),
         [&](unsigned dpu, std::vector<upmem::TaskletTrace> &traces) {
             body(dpu, traces, slots[dpu]);
         },
-        {kernel, [&blocks] { return partitionShares(blocks); }}, idle);
+        {kernel, [&blocks] { return partitionShares(blocks); }},
+        launch_known, profiles);
     result.times.kernel = sys.kernelSeconds(result.profile);
 
     result.y.assign(n, S::zero());
@@ -168,6 +192,75 @@ launchMxv(const upmem::UpmemSystem &sys, const char *kernel,
     }
     return result;
 }
+
+/**
+ * Every DPU's profile of a kernel whose traces depend only on its
+ * blocks, the semiring's op classes and the DpuConfig, never on the
+ * launch's input (the SpMV kernels), kept from its first launch.
+ *
+ * That launch records and replays every DPU as usual and keeps the
+ * profiles; every later one takes them as known and runs only the
+ * DPUs' functional bodies, over a null trace sink. This is exact: a
+ * replay is a pure function of the traces and the DpuConfig. A system
+ * whose observers want every DPU's traces, or no replay, neither
+ * fills nor uses it.
+ *
+ * run() is const and may be called from two threads at once: racing
+ * first launches each replay, and only the first set kept stays.
+ */
+class FirstLaunchProfiles
+{
+  public:
+    FirstLaunchProfiles() = default;
+    FirstLaunchProfiles(const FirstLaunchProfiles &) = delete;
+    FirstLaunchProfiles &operator=(const FirstLaunchProfiles &) = delete;
+    ~FirstLaunchProfiles() { delete kept_.load(); }
+
+    /**
+     * launchMxv, with every DPU known once a first launch kept its
+     * profiles. `body(dpu, traces, slot)` must take a vector of
+     * TaskletTraces and upmem::NullTraces alike.
+     */
+    template <Semiring S, typename Body, typename MergeCost>
+    MxvResult<typename S::Value>
+    launch(const upmem::UpmemSystem &sys, const char *kernel,
+           const std::vector<DeviceBlock> &blocks, NodeId n,
+           Seconds load, const Body &body,
+           const MergeCost &merge_cost) const
+    {
+        using V = typename S::Value;
+        if (sys.requirements() &
+            (upmem::LaunchObserver::TracesOfEveryDpu |
+             upmem::LaunchObserver::NoReplay))
+            return launchMxv<S>(sys, kernel, blocks, n, load, body,
+                                merge_cost);
+        if (const auto *kept = kept_.load()) {
+            KnownSlots<V> known;
+            known.profiles.reserve(kept->size());
+            for (const upmem::DpuProfile &profile : *kept)
+                known.profiles.push_back(&profile);
+            known.compute = [&body](unsigned dpu, DpuSlot<V> &slot) {
+                upmem::NullTraces traces;
+                body(dpu, traces, slot);
+            };
+            return launchMxv<S>(sys, kernel, blocks, n, load, body,
+                                merge_cost, std::move(known));
+        }
+        std::vector<upmem::DpuProfile> profiles;
+        auto result = launchMxv<S>(sys, kernel, blocks, n, load, body,
+                                   merge_cost, {}, &profiles);
+        auto *fresh =
+            new std::vector<upmem::DpuProfile>(std::move(profiles));
+        const std::vector<upmem::DpuProfile> *none = nullptr;
+        if (!kept_.compare_exchange_strong(none, fresh))
+            delete fresh;
+        return result;
+    }
+
+  private:
+    mutable std::atomic<const std::vector<upmem::DpuProfile> *> kept_{
+        nullptr};
+};
 
 namespace detail
 {

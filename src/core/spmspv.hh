@@ -106,9 +106,9 @@ class CscSpmspv : public PimMxvKernel<S>
         std::vector<Bytes> load_bytes(blocks_.size(), 0);
         // A DPU whose slice brings no entry into its block replays to
         // its cached idle profile and leaves its slot empty.
-        std::vector<const upmem::DpuProfile *> idle;
+        KnownSlots<Value> idle;
         if (!idleOf_.empty())
-            idle.resize(blocks_.size());
+            idle.profiles.resize(blocks_.size());
         for (std::size_t d = 0; d < blocks_.size(); ++d) {
             const DeviceBlock &b = blocks_[d];
             const auto lo = std::lower_bound(x.indices().begin(),
@@ -123,8 +123,9 @@ class CscSpmspv : public PimMxvKernel<S>
                            static_cast<std::size_t>(hi)};
             load_bytes[d] =
                 static_cast<Bytes>(hi - lo) * kVecPair;
-            if (!idle.empty() && bringsNoEntries(b, x, x_slices[d]))
-                idle[d] = &idleProfiles_[idleOf_[d]];
+            if (!idle.profiles.empty() &&
+                bringsNoEntries(b, x, x_slices[d]))
+                idle.profiles[d] = &idleProfiles_[idleOf_[d]];
         }
         const Seconds load =
             mode_ == CscMode::RowWise
@@ -146,7 +147,7 @@ class CscSpmspv : public PimMxvKernel<S>
                     static_cast<Bytes>(n_) * sizeof(Value) + retrieved,
                     merge_ops);
             },
-            idle);
+            std::move(idle));
     }
 
     const char *

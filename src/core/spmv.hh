@@ -94,11 +94,10 @@ class SpmvKernel : public PimMxvKernel<S>
         }
 
         const std::vector<Value> x_dense = x.toDense(S::zero());
-        return launchMxv<S>(
+        return firstLaunch_.launch<S>(
             sys_, this->name(), blocks_, n_, load,
-            [&](unsigned dpu, std::vector<upmem::TaskletTrace> &tr,
-                DpuSlot<Value> &out) {
-                runOneDpu(dpu, x_dense, tr, out);
+            [&](unsigned dpu, auto &traces, DpuSlot<Value> &out) {
+                runOneDpu(dpu, x_dense, traces, out);
             },
             [this](Bytes retrieved, std::uint64_t merge_ops) {
                 // COO.nnz combines only slice-boundary rows; DCOO
@@ -136,10 +135,12 @@ class SpmvKernel : public PimMxvKernel<S>
     const Grid2d &grid() const { return grid_; }
 
   private:
+    /** Emulate one DPU over `traces` (TaskletTraces, or NullTraces to
+     * compute only): x's values reach only the slot's outputs. */
+    template <typename Traces>
     void
     runOneDpu(unsigned dpu, const std::vector<Value> &x_dense,
-              std::vector<upmem::TaskletTrace> &traces,
-              DpuSlot<Value> &dpu_out) const
+              Traces &traces, DpuSlot<Value> &dpu_out) const
     {
         const DeviceBlock &block = blocks_[dpu];
         const auto &cfg = sys_.config().dpu;
@@ -167,7 +168,7 @@ class SpmvKernel : public PimMxvKernel<S>
         };
 
         for (unsigned t = 0; t < tasklets; ++t) {
-            upmem::TaskletCtx ctx(cfg, traces[t]);
+            upmem::BasicTaskletCtx ctx(cfg, traces[t]);
             if (x_cached) {
                 const Bytes share = seg_bytes / tasklets + 1;
                 ctx.streamFromMram(
@@ -178,7 +179,7 @@ class SpmvKernel : public PimMxvKernel<S>
 
         const auto split = detail::evenSplit(block.nnz(), tasklets);
         for (unsigned t = 0; t < tasklets; ++t) {
-            upmem::TaskletCtx ctx(cfg, traces[t]);
+            upmem::BasicTaskletCtx ctx(cfg, traces[t]);
             const std::size_t first = split[t];
             const std::size_t last = split[t + 1];
             if (first == last)
@@ -250,7 +251,7 @@ class SpmvKernel : public PimMxvKernel<S>
         const auto rows_split =
             detail::evenSplit(block.rows, tasklets);
         for (unsigned t = 0; t < tasklets; ++t) {
-            upmem::TaskletCtx ctx(cfg, traces[t]);
+            upmem::BasicTaskletCtx ctx(cfg, traces[t]);
             ctx.barrier(detail::kernelBarrier);
             const auto out = detail::alignedSlice(
                 detail::mramOutputBase, rows_split[t],
@@ -272,6 +273,7 @@ class SpmvKernel : public PimMxvKernel<S>
     NodeId n_;
     Grid2d grid_;
     std::vector<DeviceBlock> blocks_;
+    FirstLaunchProfiles firstLaunch_;
 };
 
 /**
@@ -316,11 +318,10 @@ class SpmvRow1d : public PimMxvKernel<S>
             sys_.transfer().broadcast(dense_bytes, dpus_);
 
         const std::vector<Value> x_dense = x.toDense(S::zero());
-        return launchMxv<S>(
+        return firstLaunch_.launch<S>(
             sys_, this->name(), blocks_, n_, load,
-            [&](unsigned dpu, std::vector<upmem::TaskletTrace> &tr,
-                DpuSlot<Value> &out) {
-                runOneDpu(dpu, x_dense, tr, out);
+            [&](unsigned dpu, auto &traces, DpuSlot<Value> &out) {
+                runOneDpu(dpu, x_dense, traces, out);
             },
             [this](Bytes, std::uint64_t) {
                 // Disjoint row slices: no merging beyond the gather.
@@ -352,10 +353,12 @@ class SpmvRow1d : public PimMxvKernel<S>
     }
 
   private:
+    /** Emulate one DPU over `traces` (TaskletTraces, or NullTraces to
+     * compute only): x's values reach only the slot's outputs. */
+    template <typename Traces>
     void
     runOneDpu(unsigned dpu, const std::vector<Value> &x_dense,
-              std::vector<upmem::TaskletTrace> &traces,
-              DpuSlot<Value> &dpu_out) const
+              Traces &traces, DpuSlot<Value> &dpu_out) const
     {
         const DeviceBlock &block = blocks_[dpu];
         const auto &cfg = sys_.config().dpu;
@@ -375,7 +378,7 @@ class SpmvRow1d : public PimMxvKernel<S>
         const auto rows_split =
             detail::evenSplit(block.rows, tasklets);
         for (unsigned t = 0; t < tasklets; ++t) {
-            upmem::TaskletCtx ctx(cfg, traces[t]);
+            upmem::BasicTaskletCtx ctx(cfg, traces[t]);
             const auto row_lo = static_cast<NodeId>(rows_split[t]);
             const auto row_hi =
                 static_cast<NodeId>(rows_split[t + 1]);
@@ -443,6 +446,7 @@ class SpmvRow1d : public PimMxvKernel<S>
     unsigned dpus_;
     NodeId n_;
     std::vector<DeviceBlock> blocks_;
+    FirstLaunchProfiles firstLaunch_;
 };
 
 /** SparseP COO.row: row-granular 1D COO SpMV. */

@@ -28,6 +28,59 @@ fnvChecksum(const std::vector<T> &v)
 
 } // namespace
 
+ServeResult
+ResultLog::operator[](std::size_t i) const
+{
+    const Record &r = records_[i];
+    ServeResult res;
+    res.queryId = r.queryId;
+    res.tenant = names_[r.tenant];
+    res.dataset = names_[r.dataset];
+    res.algo = static_cast<ServeAlgo>(r.algo);
+    res.source = r.source;
+    res.admitted = r.admitted;
+    res.arrival = r.arrival;
+    res.start = r.start;
+    res.finish = r.finish;
+    res.batchSize = r.batchSize;
+    res.iterations = r.iterations;
+    res.converged = r.converged;
+    res.resultChecksum = r.resultChecksum;
+    return res;
+}
+
+void
+ResultLog::push_back(const ServeResult &res)
+{
+    static_assert(sizeof(Record) == 64, "a logged result is 64 bytes");
+    records_.push_back({res.queryId, res.arrival, res.start, res.finish,
+                        res.resultChecksum, res.source, intern(res.tenant),
+                        intern(res.dataset), res.batchSize, res.iterations,
+                        static_cast<std::uint8_t>(res.algo), res.admitted,
+                        res.converged});
+}
+
+std::vector<double>
+ResultLog::admittedLatencies() const
+{
+    std::vector<double> latencies;
+    for (const Record &r : records_) {
+        if (r.admitted)
+            latencies.push_back(r.finish - r.arrival);
+    }
+    return latencies;
+}
+
+std::uint32_t
+ResultLog::intern(const std::string &name)
+{
+    const auto [it, fresh] = index_.try_emplace(
+        name, static_cast<std::uint32_t>(names_.size()));
+    if (fresh)
+        names_.push_back(name);
+    return it->second;
+}
+
 /** Resident per-(algorithm, strategy) engines of one dataset. The
  * maps key on the strategy; engines build lazily on first use and
  * persist, so the matrix load and partition plan amortize across
@@ -157,7 +210,7 @@ ServeEngine::submit(const ServeQuery &query, std::uint64_t *id)
         res.arrival = query.arrival;
         res.start = query.arrival;
         res.finish = query.arrival;
-        results_.push_back(std::move(res));
+        results_.push_back(res);
         return false;
     }
     queue_.push_back({nextId_++, query});
@@ -287,10 +340,9 @@ ServeEngine::serveBatch(const std::vector<PendingQuery> &batch)
         res.iterations = iterations;
         res.converged = run.converged;
         res.resultChecksum = checksums[i];
-        latencies_.push_back(res.latency());
         telemetry::metrics().addSample("serve.latency_seconds",
                                        res.latency());
-        results_.push_back(std::move(res));
+        results_.push_back(res);
     }
 }
 
@@ -301,7 +353,10 @@ ServeEngine::summary() const
     s.submitted = submitted_;
     s.rejected = rejected_;
     s.admitted = submitted_ - rejected_;
-    s.completed = latencies_.size();
+    // Summed in completion order, then sorted once for the
+    // percentiles.
+    std::vector<double> latencies = results_.admittedLatencies();
+    s.completed = latencies.size();
     s.batches = batches_;
     s.meanBatchSize =
         batches_ > 0 ? static_cast<double>(batchedQueries_) /
@@ -309,15 +364,16 @@ ServeEngine::summary() const
                      : 0.0;
     s.maxBatchSize = maxBatchSize_;
     s.maxQueueDepth = maxQueueDepth_;
-    if (!latencies_.empty()) {
-        s.latencyP50 = percentile(latencies_, 50.0);
-        s.latencyP95 = percentile(latencies_, 95.0);
-        s.latencyP99 = percentile(latencies_, 99.0);
-        s.latencyP999 = percentile(latencies_, 99.9);
+    if (!latencies.empty()) {
         double sum = 0.0;
-        for (double l : latencies_)
+        for (double l : latencies)
             sum += l;
-        s.latencyMean = sum / static_cast<double>(latencies_.size());
+        s.latencyMean = sum / static_cast<double>(latencies.size());
+        std::sort(latencies.begin(), latencies.end());
+        s.latencyP50 = sortedPercentile(latencies, 50.0);
+        s.latencyP95 = sortedPercentile(latencies, 95.0);
+        s.latencyP99 = sortedPercentile(latencies, 99.0);
+        s.latencyP999 = sortedPercentile(latencies, 99.9);
     }
     if (firstArrival_ >= 0.0 && clock_ > firstArrival_) {
         s.makespanSeconds = clock_ - firstArrival_;

@@ -21,10 +21,14 @@
 #ifndef ALPHA_PIM_SERVE_SERVE_ENGINE_HH
 #define ALPHA_PIM_SERVE_SERVE_ENGINE_HH
 
+#include <cstddef>
+#include <cstdint>
+#include <deque>
 #include <limits>
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "apps/multi_source.hh"
@@ -51,6 +55,80 @@ struct ServeOptions
      * and switchThreshold fields are ignored -- strategy is
      * per-query and the threshold comes from the cached stats. */
     apps::AppConfig app;
+};
+
+/**
+ * Every result an engine hands back, in completion order, at 64 bytes
+ * a query: the tenant and dataset names are interned, and a deque
+ * grows without copying. Reads rebuild each ServeResult by value.
+ */
+class ResultLog
+{
+  public:
+    /** Walks the log in order, yielding ServeResults by value. */
+    class Iterator
+    {
+      public:
+        Iterator(const ResultLog &log, std::size_t index)
+            : log_(&log), index_(index)
+        {
+        }
+
+        ServeResult operator*() const { return (*log_)[index_]; }
+
+        Iterator &
+        operator++()
+        {
+            ++index_;
+            return *this;
+        }
+
+        bool operator==(const Iterator &other) const = default;
+
+      private:
+        const ResultLog *log_;
+        std::size_t index_;
+    };
+
+    /** Results logged so far. */
+    std::size_t size() const { return records_.size(); }
+
+    /** Result `i`, in completion order. */
+    ServeResult operator[](std::size_t i) const;
+
+    Iterator begin() const { return {*this, 0}; }
+    Iterator end() const { return {*this, size()}; }
+
+    /** Log one result. */
+    void push_back(const ServeResult &result);
+
+    /** The admitted queries' latencies, in completion order. */
+    std::vector<double> admittedLatencies() const;
+
+  private:
+    /** One ServeResult, names replaced by their indices in names_. */
+    struct Record
+    {
+        std::uint64_t queryId;
+        Seconds arrival;
+        Seconds start;
+        Seconds finish;
+        std::uint64_t resultChecksum;
+        NodeId source;
+        std::uint32_t tenant;
+        std::uint32_t dataset;
+        std::uint32_t batchSize;
+        std::uint32_t iterations;
+        std::uint8_t algo;
+        bool admitted;
+        bool converged;
+    };
+
+    std::uint32_t intern(const std::string &name);
+
+    std::deque<Record> records_;
+    std::vector<std::string> names_;
+    std::unordered_map<std::string, std::uint32_t> index_;
 };
 
 /** In-process serving engine over resident partitioned graphs. */
@@ -99,10 +177,7 @@ class ServeEngine
     void drain();
 
     /** Completed (and rejected) results, in completion order. */
-    const std::vector<ServeResult> &results() const
-    {
-        return results_;
-    }
+    const ResultLog &results() const { return results_; }
 
     /** The model clock: completion time of the last served batch. */
     Seconds now() const { return clock_; }
@@ -144,7 +219,7 @@ class ServeEngine
     std::unique_ptr<Scheduler> scheduler_;
     std::map<std::string, std::unique_ptr<Dataset>> datasets_;
     std::deque<PendingQuery> queue_;
-    std::vector<ServeResult> results_;
+    ResultLog results_;
     Seconds clock_ = 0.0;
     core::PhaseTimes phaseTotals_;
     std::uint64_t servedIterations_ = 0;
@@ -157,7 +232,6 @@ class ServeEngine
     std::uint64_t maxQueueDepth_ = 0;
     double firstArrival_ = -1.0;
     double lastArrival_ = -std::numeric_limits<double>::infinity();
-    std::vector<double> latencies_;
 };
 
 } // namespace alphapim::serve

@@ -11,9 +11,10 @@
  *    traces the kernel recorded, before the revolver replay consumes
  *    them. The traces are valid only during the call: the system
  *    records the next DPU into the same buffers, so an observer that
- *    keeps them copies them. An idle DPU whose profile the kernel
- *    already knows is not recorded unless an observer's
- *    requirements() ask for the traces of every DPU. This hook runs
+ *    keeps them copies them. A DPU whose profile the kernel already
+ *    knows is not recorded unless an observer's requirements() ask
+ *    for the traces of every DPU: an idle CSC SpMSpV DPU, or any
+ *    SpMV DPU after its kernel's first launch. This hook runs
  *    *concurrently* from the launch worker pool, so implementations
  *    must synchronize their own state;
  *  - onLaunchEnd(): once, on the launching thread, after the serial
@@ -69,7 +70,8 @@ class LaunchObserver
     {
         /** Record every DPU and pass its traces to onDpuTraces(), idle
          * ones included. Without it, a DPU whose profile the kernel
-         * already knows is neither recorded nor replayed. */
+         * already knows (an idle CSC DPU; an SpMV DPU after its
+         * kernel's first launch) is neither recorded nor replayed. */
         TracesOfEveryDpu = 1u << 0,
         /** Skip the revolver replay: the kernels still run
          * functionally, but every profile comes back zero. */

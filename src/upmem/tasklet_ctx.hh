@@ -34,7 +34,9 @@ roundUpDma(std::uint32_t bytes)
 }
 
 /**
- * Per-tasklet recording facade over TaskletTrace.
+ * Per-tasklet recording facade over a trace sink: a TaskletTrace
+ * (TaskletCtx), or a NullTrace, which drops every record and leaves
+ * a kernel body that only computes.
  *
  * Kernels should express their work in terms of these primitives so
  * the recorded instruction mix matches what the hand-written UPMEM C
@@ -47,17 +49,15 @@ roundUpDma(std::uint32_t bytes)
  * trace analyzer (src/analysis/); the unaddressed spellings remain
  * valid and are simply invisible to the race checker.
  */
-class TaskletCtx
+template <typename Sink>
+class BasicTaskletCtx
 {
   public:
     /** @param cfg shared DPU configuration; @param trace sink */
-    TaskletCtx(const DpuConfig &cfg, TaskletTrace &trace)
+    BasicTaskletCtx(const DpuConfig &cfg, Sink &trace)
         : cfg_(cfg), trace_(trace)
     {
     }
-
-    /** The underlying trace (for the scheduler). */
-    TaskletTrace &trace() { return trace_; }
 
     /**
      * Record `count` operations of class `cls`, applying the
@@ -192,11 +192,14 @@ class TaskletCtx
         }
     }
 
-    // A stack-scoped facade: a TaskletCtx must not outlive the
+    // A stack-scoped facade: a context must not outlive the
     // configuration or the trace it was built over.
     const DpuConfig &cfg_;
-    TaskletTrace &trace_;
+    Sink &trace_;
 };
+
+/** The recording context every kernel's traces go through. */
+using TaskletCtx = BasicTaskletCtx<TaskletTrace>;
 
 } // namespace alphapim::upmem
 

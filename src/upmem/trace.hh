@@ -11,6 +11,7 @@
 #ifndef ALPHA_PIM_UPMEM_TRACE_HH
 #define ALPHA_PIM_UPMEM_TRACE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -155,6 +156,32 @@ class TaskletTrace
 
   private:
     std::vector<TraceRecord> records_;
+};
+
+/**
+ * A trace sink that records nothing: TaskletTrace's appends as empty
+ * inline functions. A kernel body compiled over it (through
+ * BasicTaskletCtx) keeps only its functional work, which is all a DPU
+ * whose profile is already known has left to do.
+ */
+struct NullTrace
+{
+    void ops(OpClass, std::uint32_t = 1) {}
+    void dmaRead(std::uint32_t, std::uint64_t = traceNoAddr) {}
+    void dmaWrite(std::uint32_t, std::uint64_t = traceNoAddr) {}
+    void wramAccess(OpClass, std::uint32_t, std::uint64_t, std::uint32_t) {}
+    void mutexLock(std::uint32_t) {}
+    void mutexUnlock(std::uint32_t) {}
+    void barrier(std::uint32_t) {}
+};
+
+/** Every tasklet's sink of a DPU that records nothing: `traces[t]`
+ * for a body written over a vector of TaskletTraces. */
+struct NullTraces
+{
+    NullTrace &operator[](std::size_t) { return sink; }
+
+    NullTrace sink;
 };
 
 } // namespace alphapim::upmem

@@ -180,12 +180,13 @@ UpmemSystem::launchKernel(
     unsigned num_dpus,
     const std::function<void(unsigned, std::vector<TaskletTrace> &)>
         &generate,
-    const LaunchInfo &info,
-    const std::vector<const DpuProfile *> &known) const
+    const LaunchInfo &info, const KnownProfiles &known,
+    std::vector<DpuProfile> *profiles) const
 {
     ALPHA_ASSERT(num_dpus > 0 && num_dpus <= cfg_.numDpus,
                  "launch requests more DPUs than allocated");
-    ALPHA_ASSERT(known.empty() || known.size() == num_dpus,
+    ALPHA_ASSERT(known.profiles.empty() ||
+                     known.profiles.size() == num_dpus,
                  "known profiles must cover every DPU of the launch");
 
     // Replay is the dominant cost of a launch; an observer that only
@@ -204,25 +205,34 @@ UpmemSystem::launchKernel(
     std::vector<DpuProfile> per_dpu_profiles(num_dpus);
     const bool host_prof = telemetry::hostProfiler().enabled();
 
-    // A DPU whose profile is known takes it here and never reaches
-    // the pool, unless an observer wants every DPU's traces.
-    std::vector<unsigned> simulated;
+    // A DPU whose profile is known takes it here, unless an observer
+    // wants every DPU's traces. It reaches the pool only to run its
+    // functional body, if it has one.
+    std::vector<unsigned> items;
     const bool skipping =
-        !known.empty() &&
+        !known.profiles.empty() &&
         !(requirements_ & LaunchObserver::TracesOfEveryDpu);
     if (skipping) {
         for (unsigned d = 0; d < num_dpus; ++d) {
-            if (!known[d])
-                simulated.push_back(d);
-            else if (replaying)
-                per_dpu_profiles[d] = *known[d];
+            const DpuProfile *profile = known.profiles[d];
+            if (!profile || known.compute)
+                items.push_back(d);
+            if (profile && replaying)
+                per_dpu_profiles[d] = *profile;
         }
     }
 
-    const std::size_t jobs = skipping ? simulated.size() : num_dpus;
+    const std::size_t jobs = skipping ? items.size() : num_dpus;
     workers_->run(jobs, [&](std::size_t item) {
         const unsigned dpu =
-            skipping ? simulated[item] : static_cast<unsigned>(item);
+            skipping ? items[item] : static_cast<unsigned>(item);
+        if (skipping && known.profiles[dpu]) {
+            // The same generate step, without the appends.
+            telemetry::HostPhaseTimer timer(
+                telemetry::HostPhase::TraceRecord);
+            known.compute(dpu);
+            return;
+        }
         DpuTraceSet set(cfg_.dpu.tasklets);
         std::vector<TaskletTrace> &traces = set.traces();
         {
@@ -272,6 +282,8 @@ UpmemSystem::launchKernel(
         recordLaunchMetrics(launch, per_dpu_profiles);
     if (telemetry::tracer().enabled())
         traceLaunch(cfg_, per_dpu_profiles, kernelSeconds(launch));
+    if (profiles)
+        *profiles = std::move(per_dpu_profiles);
     return launch;
 }
 

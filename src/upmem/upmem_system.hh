@@ -29,6 +29,24 @@ namespace alphapim::upmem
 {
 
 /**
+ * What the caller of a launch knows before it runs: the DPUs whose
+ * profiles it already has, and what such a DPU still computes.
+ */
+struct KnownProfiles
+{
+    /** Empty, or one entry per DPU: the profile DPU `dpu` replays
+     * to, or null when it must be recorded and replayed. */
+    std::vector<const DpuProfile *> profiles;
+
+    /** Empty, or the functional body of a known DPU: run on the
+     * worker pool in place of `generate`, it fills the DPU's outputs
+     * and records nothing. Without one, a known DPU (an idle one)
+     * takes its profile on the launching thread and gets no pool
+     * item. */
+    std::function<void(unsigned)> compute;
+};
+
+/**
  * The simulated PIM machine. One instance per experiment; cheap to
  * construct and copy (copies share the observers and the workers).
  * Thread-safe for concurrent const use when its observers are; a
@@ -70,12 +88,13 @@ class UpmemSystem
      * sized by the ALPHA_PIM_THREADS limit, so `generate` must only
      * touch per-DPU state.
      *
-     * `known`, when not empty, holds one entry per DPU: the profile
-     * the caller already knows DPU `dpu` replays to, or null. Unless
-     * an observer asks for the traces of every DPU, a DPU with a known
-     * profile is neither generated, recorded nor replayed, and takes
+     * Unless an observer asks for the traces of every DPU, a DPU
+     * with a profile in `known` is neither generated, recorded nor
+     * replayed: it runs `known.compute`, if there is one, and takes
      * that profile (zero when replay is off).
      *
+     * @param profiles null, or receives every DPU's profile in DPU
+     *                 order, as onLaunchEnd sees them
      * @return aggregated launch profile (kernel wall time is
      *         kernelSeconds(profile))
      */
@@ -83,8 +102,8 @@ class UpmemSystem
         unsigned num_dpus,
         const std::function<void(unsigned,
                                  std::vector<TaskletTrace> &)> &generate,
-        const LaunchInfo &info = {},
-        const std::vector<const DpuProfile *> &known = {}) const;
+        const LaunchInfo &info = {}, const KnownProfiles &known = {},
+        std::vector<DpuProfile> *profiles = nullptr) const;
 
     /** Kernel wall-clock time of a launch, including launch overhead. */
     Seconds

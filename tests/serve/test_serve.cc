@@ -156,6 +156,114 @@ TEST(ServeEngine, AdmissionRejectsPastCapacity)
     EXPECT_EQ(s.completed, 2u);
 }
 
+namespace
+{
+
+/** Every ServeResult field, one EXPECT each. */
+void
+expectSameServeResult(const ServeResult &want, const ServeResult &got)
+{
+    EXPECT_EQ(got.queryId, want.queryId);
+    EXPECT_EQ(got.tenant, want.tenant);
+    EXPECT_EQ(got.dataset, want.dataset);
+    EXPECT_EQ(got.algo, want.algo);
+    EXPECT_EQ(got.source, want.source);
+    EXPECT_EQ(got.admitted, want.admitted);
+    EXPECT_EQ(got.arrival, want.arrival);
+    EXPECT_EQ(got.start, want.start);
+    EXPECT_EQ(got.finish, want.finish);
+    EXPECT_EQ(got.batchSize, want.batchSize);
+    EXPECT_EQ(got.iterations, want.iterations);
+    EXPECT_EQ(got.converged, want.converged);
+    EXPECT_EQ(got.resultChecksum, want.resultChecksum);
+}
+
+} // namespace
+
+TEST(ResultLog, EveryFieldOfAdmittedAndRejectedResultsRoundTrips)
+{
+    std::vector<ServeResult> logged;
+    ServeResult admitted;
+    admitted.queryId = (1ull << 40) + 3;
+    admitted.tenant = "a tenant name too long for a short string";
+    admitted.dataset = "as00";
+    admitted.algo = ServeAlgo::Cc;
+    admitted.source = 4'000'000'000u;
+    admitted.admitted = true;
+    admitted.arrival = 0.125;
+    admitted.start = 1.0 / 3.0;
+    admitted.finish = 2.5e-7 + 1.0 / 3.0;
+    admitted.batchSize = 32;
+    admitted.iterations = 70'000;
+    admitted.converged = true;
+    admitted.resultChecksum = ~0ull - 5;
+    logged.push_back(admitted);
+
+    ServeResult rejected;
+    rejected.queryId = 4;
+    rejected.tenant = "t1";
+    rejected.dataset = admitted.tenant; // names share one table
+    rejected.algo = ServeAlgo::Sssp;
+    rejected.source = 9;
+    rejected.arrival = rejected.start = rejected.finish = 7.75;
+    logged.push_back(rejected);
+    ServeResult again = admitted;
+    again.queryId = 5;
+    again.algo = ServeAlgo::Ppr;
+    again.converged = false;
+    logged.push_back(again);
+
+    ResultLog log;
+    for (const ServeResult &r : logged)
+        log.push_back(r);
+    ASSERT_EQ(log.size(), logged.size());
+    std::size_t i = 0;
+    for (const ServeResult &r : log) {
+        SCOPED_TRACE("result " + std::to_string(i));
+        expectSameServeResult(logged[i], r);
+        expectSameServeResult(logged[i], log[i]);
+        ++i;
+    }
+    EXPECT_EQ(i, logged.size());
+    EXPECT_EQ(log.admittedLatencies(),
+              (std::vector<double>{admitted.latency(), again.latency()}));
+}
+
+TEST(ServeEngine, ResultsCarryTheirQueries)
+{
+    // Admitted and rejected queries come back with the tenant,
+    // dataset, algorithm, source and arrival they were submitted
+    // with.
+    const auto sys = testSystem();
+    ServeOptions opt;
+    opt.queueCapacity = 2;
+    ServeEngine engine(sys, opt);
+    engine.loadDataset("g", testGraph());
+    engine.loadDataset("h", testGraph(11));
+
+    std::vector<ServeQuery> queries;
+    for (unsigned k = 0; k < 3; ++k) {
+        ServeQuery q = bfsQuery(10 + k, 0.5 * k, k == 1 ? "h" : "g");
+        q.tenant = "tenant" + std::to_string(2 - k);
+        q.algo = k == 2 ? ServeAlgo::Cc : ServeAlgo::Bfs;
+        queries.push_back(q);
+    }
+    for (const ServeQuery &q : queries)
+        engine.submit(q);
+    engine.drain();
+    ASSERT_EQ(engine.results().size(), 3u);
+    for (const ServeResult &r : engine.results()) {
+        const ServeQuery &q = queries.at(r.queryId);
+        EXPECT_EQ(r.tenant, q.tenant);
+        EXPECT_EQ(r.dataset, q.dataset);
+        EXPECT_EQ(r.algo, q.algo);
+        EXPECT_EQ(r.source, q.source);
+        EXPECT_EQ(r.arrival, q.arrival);
+        EXPECT_EQ(r.admitted, r.queryId < 2);
+        EXPECT_EQ(r.batchSize, r.admitted ? 1u : 0u);
+    }
+}
+
 TEST(ServeEngine, BatchedChecksumsMatchFifoSolo)
 {
     // The tenant-visible identity guarantee: the checksum of each

@@ -256,10 +256,12 @@ TEST_F(TracerTest, BfsRunProducesNestedPhaseAndDeviceTracks)
     for (const auto &e : events) {
         if (e.track.pid != pidEngine || e.phase != 'X')
             continue;
-        if (e.category == "phase")
+        if (e.category == "phase") {
             EXPECT_TRUE(contained(e, "multiply")) << e.name;
-        if (e.category == "multiply")
+        }
+        if (e.category == "multiply") {
             EXPECT_TRUE(contained(e, "app")) << e.name;
+        }
     }
 
     // The whole export must still parse as JSON.
@@ -367,8 +369,9 @@ TEST_F(TracerTest, DpuTrackLimitCapsKernelTracks)
     ASSERT_FALSE(result.iterations.empty());
 
     for (const auto &e : tracer().events()) {
-        if (e.track.pid == pidDpu)
+        if (e.track.pid == pidDpu) {
             EXPECT_LT(e.track.tid, 2u);
+        }
     }
     tracer().setDpuTrackLimit(128);
 }

@@ -158,11 +158,12 @@ knownProfile()
 
 /** Every DPU but the first has `profile` known, as the idle DPUs of a
  * sparse-frontier launch do. */
-std::vector<const DpuProfile *>
+KnownProfiles
 knownAfterFirst(unsigned dpus, const DpuProfile &profile)
 {
-    std::vector<const DpuProfile *> known(dpus, &profile);
-    known[0] = nullptr;
+    KnownProfiles known{std::vector<const DpuProfile *>(dpus, &profile),
+                        {}};
+    known.profiles[0] = nullptr;
     return known;
 }
 
@@ -429,6 +430,40 @@ TEST(LaunchObserver, KnownProfilesSkipRecordingAndReplay)
             }
         }
         EXPECT_EQ(obs->lastProfiles[0].totalCycles > 0, replaying);
+    }
+}
+
+TEST(LaunchObserver, KnownProfilesWithABodyRunItInsteadOfRecording)
+{
+    // The SpMV case: every known DPU still computes its outputs, on
+    // the pool, and takes its profile without being recorded. The
+    // launch hands every profile back.
+    const DpuProfile known = knownProfile();
+    const auto obs = std::make_shared<FakeObserver>(0u);
+    const UpmemSystem sys(smallConfig(16), {obs});
+    std::vector<std::atomic<int>> generated(16), computed(16);
+    KnownProfiles with_body = knownAfterFirst(16, known);
+    with_body.compute = [&](unsigned dpu) { computed[dpu].fetch_add(1); };
+    std::vector<DpuProfile> profiles;
+    const LaunchProfile launch = sys.launchKernel(
+        16,
+        [&](unsigned dpu, std::vector<TaskletTrace> &traces) {
+            generated[dpu].fetch_add(1);
+            staircase(dpu, traces);
+        },
+        {}, with_body, &profiles);
+    ASSERT_EQ(profiles.size(), 16u);
+    EXPECT_EQ(launch.maxCycles, profiles[0].totalCycles);
+    for (unsigned d = 0; d < 16; ++d) {
+        EXPECT_EQ(generated[d].load(), d == 0 ? 1 : 0) << "dpu " << d;
+        EXPECT_EQ(computed[d].load(), d == 0 ? 0 : 1) << "dpu " << d;
+        EXPECT_EQ(obs->tracedPerDpu[d], d == 0 ? 1u : 0u) << "dpu " << d;
+        EXPECT_EQ(profiles[d].totalCycles,
+                  obs->lastProfiles[d].totalCycles)
+            << "dpu " << d;
+        if (d > 0) {
+            EXPECT_EQ(profiles[d].totalCycles, known.totalCycles);
+        }
     }
 }
 
