@@ -8,11 +8,12 @@
  * launches with replay off; the host merge fold,
  * the profile fold, the imbalance analysis and the transfer model;
  * trace generation, the CSC-2D and DCOO-2D partition builds, CSR
- * conversion, full CSC-2D and CSC-R SpMSpV launches (one of them
- * road_traverse-shaped, nearly every DPU idle), full dense_ppr-shaped
- * DCOO-2D SpMV launches (a kernel's first and a cached one), and the
- * fixed cost of dispatching an empty launch. Each host phase the profiler names
- * has a benchmark of the same name. These bound the wall-clock cost
+ * conversion, full CSC-2D and CSC-R SpMSpV launches (road_traverse-
+ * shaped ones: nearly every DPU idle, or one BFS level whose busy
+ * DPUs reach the worker pool), full dense_ppr-shaped DCOO-2D SpMV
+ * launches (a kernel's first and a cached one), and the fixed cost of
+ * dispatching an empty launch. Each host phase the profiler names has
+ * a benchmark of the same name. These bound the wall-clock cost
  * of the figure benches; all report wall time, since a launch
  * replays on the system's worker pool.
  */
@@ -29,6 +30,7 @@
 
 #include "analysis/capture.hh"
 #include "analysis/imbalance.hh"
+#include "apps/reference_algorithms.hh"
 #include "common/random.hh"
 #include "core/kernels.hh"
 #include "sparse/csr.hh"
@@ -385,15 +387,40 @@ BM_TransferModel(benchmark::State &state)
         static_cast<std::int64_t>(state.iterations() * bytes.size()));
 }
 
+/** Time kernel.run(x) of a CSC kernel in `mode` under S, on a system
+ * of `dpus` DPUs without observers. */
+template <core::Semiring S>
+void
+timeSpmspvLaunch(benchmark::State &state,
+                 const sparse::CooMatrix<float> &adj, unsigned dpus,
+                 core::CscMode mode,
+                 const sparse::SparseVector<typename S::Value> &x,
+                 const std::string &label)
+{
+    upmem::SystemConfig sys_cfg;
+    sys_cfg.numDpus = dpus;
+    const upmem::UpmemSystem sys(sys_cfg);
+    const core::CscSpmspv<S> kernel(sys, adj, dpus, mode);
+    for (auto _ : state) {
+        auto result = kernel.run(x);
+        benchmark::DoNotOptimize(result.outputNnz);
+    }
+    state.SetItemsProcessed(state.iterations() * adj.nnz());
+    state.SetLabel(std::string(kernel.name()) + label);
+}
+
 /**
  * One full SpMSpV launch, Load to Merge, on a system without
  * observers, so DPUs that get no update take their kernel's cached
- * idle profile. Arg 0 is the vertex count of a scale-free graph at
- * 64 DPUs with a tenth of the input entries set, or 0 for a
- * road_traverse launch: r-TX at scale 0.005 on 256 DPUs with a
- * one-vertex frontier, where nearly every DPU is idle. Arg 1 picks
- * CSC-2D (0) or CSC-R (1), whose broadcast slice the launching
- * thread scans for idle DPUs.
+ * idle profile and the others go to the pool heaviest first. Arg 0 is
+ * the vertex count of a scale-free graph at 64 DPUs with a tenth of
+ * the input entries set, or 0 for a road_traverse launch: r-TX at
+ * scale 0.005 on 256 DPUs. Arg 1 picks CSC-2D (0) or CSC-R (1) under
+ * IntPlusTimes, on r-TX with a one-vertex frontier, where nearly every
+ * DPU is idle and too few are busy to reach the pool; or (2, r-TX
+ * only) CSC-2D under MinPlus with one BFS level from the lattice
+ * middle as the frontier, the first of 30 or more vertices, whose
+ * busy DPUs do reach the pool, so their order and hand-off show.
  */
 void
 BM_SpmspvLaunch(benchmark::State &state)
@@ -408,31 +435,45 @@ BM_SpmspvLaunch(benchmark::State &state)
             static_cast<NodeId>(state.range(0)), 10, 30, rng));
     }
     const unsigned dpus = road ? 256 : 64;
-    const core::CscMode mode = state.range(1) == 0
-                                   ? core::CscMode::Grid
-                                   : core::CscMode::RowWise;
-    upmem::SystemConfig sys_cfg;
-    sys_cfg.numDpus = dpus;
-    const upmem::UpmemSystem sys(sys_cfg);
-    const core::CscSpmspv<core::IntPlusTimes> kernel(sys, adj, dpus,
-                                                     mode);
+    // One vertex in the middle of the lattice, as a traversal's early
+    // frontiers are.
+    const NodeId middle = adj.rowAt(adj.nnz() / 2);
+
+    if (state.range(1) == 2) {
+        const auto level = apps::referenceBfs(adj, middle);
+        std::vector<std::size_t> sizes;
+        for (const std::uint32_t l : level) {
+            if (l == invalidNode)
+                continue;
+            if (l >= sizes.size())
+                sizes.resize(l + 1, 0);
+            ++sizes[l];
+        }
+        std::uint32_t pick = 0;
+        while (pick + 1 < sizes.size() && sizes[pick] < 30)
+            ++pick;
+        sparse::SparseVector<float> x(adj.numRows());
+        for (NodeId v = 0; v < adj.numRows(); ++v) {
+            if (level[v] == pick)
+                x.append(v, static_cast<float>(pick));
+        }
+        timeSpmspvLaunch<core::MinPlus>(
+            state, adj, dpus, core::CscMode::Grid, x,
+            " r-TX, BFS level of " + std::to_string(x.nnz()));
+        return;
+    }
 
     sparse::SparseVector<std::uint32_t> x(adj.numRows());
     if (road) {
-        // One vertex in the middle of the lattice, as a traversal's
-        // early frontiers are.
-        x.append(adj.rowAt(adj.nnz() / 2), 1u);
+        x.append(middle, 1u);
     } else {
         for (NodeId i = 0; i < adj.numRows(); i += 10)
             x.append(i, 1u);
     }
-
-    for (auto _ : state) {
-        auto result = kernel.run(x);
-        benchmark::DoNotOptimize(result.outputNnz);
-    }
-    state.SetItemsProcessed(state.iterations() * adj.nnz());
-    state.SetLabel(std::string(kernel.name()) + (road ? " r-TX" : ""));
+    timeSpmspvLaunch<core::IntPlusTimes>(
+        state, adj, dpus,
+        state.range(1) == 0 ? core::CscMode::Grid : core::CscMode::RowWise,
+        x, road ? " r-TX" : "");
 }
 
 /**
@@ -588,13 +629,15 @@ BENCHMARK(BM_HostMerge)->Arg(0)->Arg(1)->UseRealTime();
 BENCHMARK(BM_ProfileFold)->Arg(256)->Arg(2048)->UseRealTime();
 BENCHMARK(BM_Analysis)->Arg(256)->Arg(2048)->UseRealTime();
 BENCHMARK(BM_TransferModel)->Arg(256)->Arg(2048)->UseRealTime();
-// {vertices, or 0 for r-TX with one frontier vertex; CSC-2D 0 | CSC-R 1}.
+// {vertices, or 0 for r-TX; CSC-2D 0 | CSC-R 1 (one frontier vertex on
+// r-TX) | CSC-2D MinPlus over one r-TX BFS level 2}.
 BENCHMARK(BM_SpmspvLaunch)
     ->Args({5'000, 0})
     ->Args({20'000, 0})
     ->Args({20'000, 1})
     ->Args({0, 0})
     ->Args({0, 1})
+    ->Args({0, 2})
     ->UseRealTime();
 // 0 = a fresh kernel's first launch, 1 = a later, cached one.
 BENCHMARK(BM_SpmvLaunch)->Arg(0)->Arg(1)->UseRealTime();

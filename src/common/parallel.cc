@@ -26,6 +26,27 @@ parallelMaxThreads()
     return cached;
 }
 
+namespace
+{
+
+/** Spin, yielding the core, until ready() holds or WorkerPool's spin
+ * window passes; true when ready() held. */
+template <typename Ready>
+bool
+spinFor(const Ready &ready)
+{
+    const auto deadline =
+        std::chrono::steady_clock::now() + WorkerPool::spinWindow;
+    while (!ready()) {
+        if (std::chrono::steady_clock::now() >= deadline)
+            return false;
+        std::this_thread::yield();
+    }
+    return true;
+}
+
+} // namespace
+
 WorkerPool::WorkerPool(unsigned threads)
     : threads_(threads ? threads : 1)
 {
@@ -34,8 +55,9 @@ WorkerPool::WorkerPool(unsigned threads)
 WorkerPool::~WorkerPool()
 {
     {
+        // Under the mutex, so a worker parking now sees it.
         std::lock_guard<std::mutex> lock(mutex_);
-        stop_ = true;
+        stop_.store(true);
     }
     wake_.notify_all();
     for (std::thread &t : workers_)
@@ -68,19 +90,29 @@ WorkerPool::runClaimed(std::size_t count, Call call, const void *fn)
     }
 
     Job job{call, fn, count, {0}, nullptr};
+    job_.store(&job);
+    // Spinning workers see the new generation; only parked ones need
+    // a wake-up. A worker checks the generation under the mutex before
+    // it parks, so it is either counted here or sees this job.
+    bool parked = false;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        job_ = &job;
-        ++generation_;
+        generation_.fetch_add(1);
+        parked = parked_ > 0;
     }
-    wake_.notify_all();
+    if (parked)
+        wake_.notify_all();
     drain(job);
-    {
-        // Withdraw the job so no late worker enters it, then wait for
-        // those inside: the job dies with this frame.
+
+    // Withdraw the job so no late worker enters it, then wait for
+    // those inside: the job dies with this frame. A worker counts
+    // itself in before it loads job_, so one that got the job is
+    // counted by now.
+    job_.store(nullptr);
+    const auto left = [this] { return inside_.load() == 0; };
+    if (!spinFor(left)) {
         std::unique_lock<std::mutex> lock(mutex_);
-        job_ = nullptr;
-        left_.wait(lock, [this] { return inside_ == 0; });
+        left_.wait(lock, left);
     }
     if (job.error)
         std::rethrow_exception(job.error);
@@ -109,21 +141,30 @@ void
 WorkerPool::work()
 {
     std::uint64_t seen = 0;
-    std::unique_lock<std::mutex> lock(mutex_);
+    const auto fresh = [&] {
+        return stop_.load() || generation_.load() != seen;
+    };
     for (;;) {
-        wake_.wait(lock, [&] {
-            return stop_ || (job_ != nullptr && generation_ != seen);
-        });
-        if (stop_)
+        if (!spinFor(fresh)) {
+            std::unique_lock<std::mutex> lock(mutex_);
+            ++parked_;
+            wake_.wait(lock, fresh);
+            --parked_;
+        }
+        if (stop_.load())
             return;
-        seen = generation_;
-        Job &job = *job_;
-        ++inside_;
-        lock.unlock();
-        drain(job);
-        lock.lock();
-        if (--inside_ == 0)
+        seen = generation_.load();
+        // The job may be withdrawn already, or be a later one; either
+        // way it is safe to enter once counted in.
+        inside_.fetch_add(1);
+        if (Job *job = job_.load())
+            drain(*job);
+        if (inside_.fetch_sub(1) == 1) {
+            // A caller that saw this worker inside, under the mutex,
+            // is waiting by the time the mutex is ours.
+            std::lock_guard<std::mutex> lock(mutex_);
             left_.notify_one();
+        }
     }
 }
 

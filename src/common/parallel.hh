@@ -5,9 +5,9 @@
  * be written to per-item slots so the outcome is deterministic
  * regardless of thread count.
  *
- * A WorkerPool keeps threads - 1 workers asleep on a condition
- * variable between jobs, so a job costs a wake-up, not a thread spawn
- * and join; the calling thread drains items too. Each UpmemSystem owns
+ * A WorkerPool keeps threads - 1 workers between jobs (spinning, then
+ * parked), so a job costs at most a wake-up, not a thread spawn and
+ * join; the calling thread drains items too. Each UpmemSystem owns
  * one (copies share it), sized by default to the machine's hardware
  * concurrency capped with the ALPHA_PIM_THREADS environment variable
  * (ALPHA_PIM_THREADS=1 forces serial execution -- useful for
@@ -19,6 +19,7 @@
 #define ALPHA_PIM_COMMON_PARALLEL_HH
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -62,10 +63,21 @@ unsigned parallelMaxThreads();
  * them and are joined by the destructor, which must not race a run().
  * When an item throws, no further items start and run() rethrows the
  * first exception once every thread has left the job.
+ *
+ * Between jobs a worker spins, yielding, for spinWindow before it
+ * parks, and the caller wakes only parked workers; a caller whose
+ * items are done spins as long for the last worker to leave before it
+ * blocks. So jobs that follow one another within the window, like a
+ * traversal's launches, never wait on a futex.
  */
 class WorkerPool
 {
   public:
+    /** How long a worker spins for the next job, and a caller for the
+     * last worker to leave, before blocking. It covers a launching
+     * thread's serial work between two launches. */
+    static constexpr std::chrono::microseconds spinWindow{200};
+
     /** A pool whose jobs use up to `threads` threads, the caller
      * included (0 counts as 1). */
     explicit WorkerPool(unsigned threads = parallelMaxThreads());
@@ -116,19 +128,22 @@ class WorkerPool
     /** Take and run items until none are left or one throws. */
     void drain(Job &job);
 
-    /** A worker's loop: sleep until a new job or shutdown. */
+    /** A worker's loop: spin, then park, until a new job or
+     * shutdown. */
     void work();
 
     const unsigned threads_;
     std::atomic<bool> busy_{false};
 
+    std::atomic<Job *> job_{nullptr};          ///< the published job
+    std::atomic<std::uint64_t> generation_{0}; ///< jobs published so far
+    std::atomic<unsigned> inside_{0};          ///< workers in a job
+    std::atomic<bool> stop_{false};
+
     std::mutex mutex_;
-    std::condition_variable wake_; ///< workers: a job or shutdown
-    std::condition_variable left_; ///< caller: last worker left
-    Job *job_ = nullptr;           ///< the published job, if any
-    std::uint64_t generation_ = 0; ///< jobs published so far
-    unsigned inside_ = 0;          ///< workers inside job_
-    bool stop_ = false;
+    std::condition_variable wake_; ///< parked workers: a job or shutdown
+    std::condition_variable left_; ///< blocked caller: last worker left
+    unsigned parked_ = 0;          ///< workers on wake_; guarded by mutex_
 
     std::vector<std::thread> workers_; ///< started by the first job
 };

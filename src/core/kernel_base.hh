@@ -104,6 +104,10 @@ struct KnownSlots
      * trace sink, which fills its slot. Without it a known DPU (an
      * idle one) leaves its slot empty. */
     std::function<void(unsigned, DpuSlot<V> &)> compute;
+
+    /** Empty, or per DPU its work: the pool runs the heaviest first
+     * (upmem::KnownProfiles::weights). */
+    std::vector<std::uint64_t> weights;
 };
 
 /**
@@ -151,7 +155,8 @@ launchMxv(const upmem::UpmemSystem &sys, const char *kernel,
     MxvResult<typename S::Value> result;
     result.times.load = load;
     std::vector<DpuSlot<typename S::Value>> slots(blocks.size());
-    upmem::KnownProfiles launch_known{std::move(known.profiles), {}};
+    upmem::KnownProfiles launch_known{std::move(known.profiles), {},
+                                      std::move(known.weights)};
     if (known.compute) {
         launch_known.compute = [&](unsigned dpu) {
             known.compute(dpu, slots[dpu]);

@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <numeric>
 
 #include "common/logging.hh"
 #include "core/device_block.hh"
@@ -86,11 +87,55 @@ class CscSpmspv : public PimMxvKernel<S>
             blocks_ = buildGridBlocks(a, grid_, BlockOrder::ColMajor);
             break;
         }
+        indexColumns();
         // A system whose observers want every DPU's traces simulates
         // idle DPUs too, so it would never take a cached profile.
         if (!(sys_.requirements() &
               upmem::LaunchObserver::TracesOfEveryDpu))
             cacheIdleProfiles();
+    }
+
+    /** What a launch on some x asks of each DPU. */
+    struct Activity
+    {
+        /// Per DPU, the range of x's entries in its column range.
+        std::vector<std::pair<std::size_t, std::size_t>> slices;
+        /// Per DPU, its updates: the block entries in the columns x
+        /// names, each one multiply-add of runOneDpu. 0 = idle.
+        std::vector<std::uint64_t> updates;
+    };
+
+    /**
+     * Each DPU's x slice and update count, from the column index: x's
+     * slices take one binary search pair per distinct column range,
+     * and the counts one pass over the index entries of x's columns,
+     * so the pass never visits an idle DPU's block.
+     */
+    Activity
+    activity(const sparse::SparseVector<Value> &x) const
+    {
+        ALPHA_ASSERT(x.dim() == n_, "input vector dimension mismatch");
+        const auto &idx = x.indices();
+        std::vector<std::pair<std::size_t, std::size_t>> range_slices(
+            colRanges_.size());
+        for (std::size_t r = 0; r < colRanges_.size(); ++r) {
+            const auto [base, cols] = colRanges_[r];
+            const auto lo = std::lower_bound(idx.begin(), idx.end(), base);
+            const auto hi = std::lower_bound(lo, idx.end(), base + cols);
+            range_slices[r] = {
+                static_cast<std::size_t>(lo - idx.begin()),
+                static_cast<std::size_t>(hi - idx.begin())};
+        }
+        Activity act;
+        act.slices.resize(blocks_.size());
+        for (std::size_t d = 0; d < blocks_.size(); ++d)
+            act.slices[d] = range_slices[rangeOf_[d]];
+        act.updates.assign(blocks_.size(), 0);
+        for (const NodeId c : idx) {
+            for (std::uint32_t k = colStart_[c]; k < colStart_[c + 1]; ++k)
+                act.updates[shares_[k].dpu] += shares_[k].entries;
+        }
+        return act;
     }
 
     MxvResult<Value>
@@ -101,31 +146,24 @@ class CscSpmspv : public PimMxvKernel<S>
         // -------- Load phase: distribute the compressed x --------
         const Bytes x_bytes =
             static_cast<Bytes>(x.nnz()) * kVecPair;
-        std::vector<std::pair<std::size_t, std::size_t>> x_slices(
-            blocks_.size());
-        std::vector<Bytes> load_bytes(blocks_.size(), 0);
-        // A DPU whose slice brings no entry into its block replays to
-        // its cached idle profile and leaves its slot empty.
-        KnownSlots<Value> idle;
-        if (!idleOf_.empty())
-            idle.profiles.resize(blocks_.size());
+        const Activity act = activity(x);
+        std::vector<Bytes> load_bytes(blocks_.size());
         for (std::size_t d = 0; d < blocks_.size(); ++d) {
-            const DeviceBlock &b = blocks_[d];
-            const auto lo = std::lower_bound(x.indices().begin(),
-                                             x.indices().end(),
-                                             b.colBase) -
-                            x.indices().begin();
-            const auto hi = std::lower_bound(x.indices().begin(),
-                                             x.indices().end(),
-                                             b.colBase + b.cols) -
-                            x.indices().begin();
-            x_slices[d] = {static_cast<std::size_t>(lo),
-                           static_cast<std::size_t>(hi)};
-            load_bytes[d] =
-                static_cast<Bytes>(hi - lo) * kVecPair;
-            if (!idle.profiles.empty() &&
-                bringsNoEntries(b, x, x_slices[d]))
-                idle.profiles[d] = &idleProfiles_[idleOf_[d]];
+            load_bytes[d] = static_cast<Bytes>(act.slices[d].second -
+                                               act.slices[d].first) *
+                            kVecPair;
+        }
+        // A DPU without an update replays to its cached idle profile
+        // and leaves its slot empty; the others go to the pool
+        // heaviest first.
+        KnownSlots<Value> idle;
+        if (!idleOf_.empty()) {
+            idle.profiles.resize(blocks_.size());
+            for (std::size_t d = 0; d < blocks_.size(); ++d) {
+                if (act.updates[d] == 0)
+                    idle.profiles[d] = &idleProfiles_[idleOf_[d]];
+            }
+            idle.weights = act.updates;
         }
         const Seconds load =
             mode_ == CscMode::RowWise
@@ -137,7 +175,8 @@ class CscSpmspv : public PimMxvKernel<S>
             sys_, this->name(), blocks_, n_, load,
             [&](unsigned dpu, std::vector<upmem::TaskletTrace> &tr,
                 DpuSlot<Value> &out) {
-                runOneDpu(dpu, x, x_slices[dpu], tr, out);
+                runOneDpu(dpu, x, act.slices[dpu], act.updates[dpu],
+                          tr, out);
             },
             [this](Bytes retrieved, std::uint64_t merge_ops) {
                 // CSC-R's row slices are disjoint: nothing to merge.
@@ -192,21 +231,63 @@ class CscSpmspv : public PimMxvKernel<S>
                detail::wramOutputBudget(sys_.config().dpu);
     }
 
-    /** True when no x entry of `slice` has a column with entries in
-     * `block`: O(1) for an empty slice, otherwise a scan that stops
-     * at the first column with entries. */
-    static bool
-    bringsNoEntries(const DeviceBlock &block,
-                    const sparse::SparseVector<Value> &x,
-                    std::pair<std::size_t, std::size_t> slice)
+    /**
+     * Build the column index: for each global column, the DPUs whose
+     * block has entries in it, in DPU order, and how many. One pass
+     * over the blocks' column runs counts each column's DPUs, a second
+     * fills them in: O(nnz + n), 8 B per (column, block) pair.
+     */
+    void
+    indexColumns()
     {
-        for (std::size_t k = slice.first; k < slice.second; ++k) {
-            const auto [first, last] =
-                block.colRange(x.indices()[k] - block.colBase);
-            if (first != last)
-                return false;
+        const auto forEachRun = [this](const auto &visit) {
+            for (std::size_t d = 0; d < blocks_.size(); ++d) {
+                const DeviceBlock &b = blocks_[d];
+                for (std::size_t e = 0; e < b.nnz();) {
+                    std::size_t end = e + 1;
+                    while (end < b.nnz() && b.colIdx[end] == b.colIdx[e])
+                        ++end;
+                    visit(static_cast<std::uint32_t>(d),
+                          b.colBase + b.colIdx[e],
+                          static_cast<std::uint32_t>(end - e));
+                    e = end;
+                }
+            }
+        };
+        // A column's pairs are at most its entries.
+        EdgeId entries = 0;
+        for (const DeviceBlock &b : blocks_)
+            entries += b.nnz();
+        ALPHA_ASSERT(entries <= ~std::uint32_t{0},
+                     "column index outgrows 32-bit offsets");
+        colStart_.assign(static_cast<std::size_t>(n_) + 1, 0);
+        forEachRun([&](std::uint32_t, NodeId col, std::uint32_t) {
+            ++colStart_[col + 1];
+        });
+        std::partial_sum(colStart_.begin(), colStart_.end(),
+                         colStart_.begin());
+        shares_.resize(colStart_[n_]);
+        // colStart_[c] is column c's fill cursor, which leaves it at
+        // column c + 1's start; shift the starts back afterwards.
+        forEachRun([&](std::uint32_t d, NodeId col, std::uint32_t len) {
+            shares_[colStart_[col]++] = {d, len};
+        });
+        std::copy_backward(colStart_.begin(), colStart_.end() - 1,
+                           colStart_.end());
+        colStart_[0] = 0;
+
+        // The blocks' distinct column ranges: one for CSC-R, one per
+        // DPU for CSC-C, one per grid column for CSC-2D.
+        std::map<std::pair<NodeId, NodeId>, std::uint32_t> ranges;
+        rangeOf_.resize(blocks_.size());
+        for (std::size_t d = 0; d < blocks_.size(); ++d) {
+            const auto [it, fresh] = ranges.try_emplace(
+                {blocks_[d].colBase, blocks_[d].cols},
+                static_cast<std::uint32_t>(colRanges_.size()));
+            if (fresh)
+                colRanges_.push_back(it->first);
+            rangeOf_[d] = it->second;
         }
-        return true;
     }
 
     /**
@@ -236,7 +317,7 @@ class CscSpmspv : public PimMxvKernel<S>
             if (fresh) {
                 std::vector<upmem::TaskletTrace> traces(cfg.tasklets);
                 DpuSlot<Value> slot;
-                runOneDpu(static_cast<unsigned>(d), empty, {0, 0},
+                runOneDpu(static_cast<unsigned>(d), empty, {0, 0}, 0,
                           traces, slot);
                 idleProfiles_.push_back(scheduler.run(traces));
             }
@@ -247,10 +328,13 @@ class CscSpmspv : public PimMxvKernel<S>
     /**
      * Emulate one DPU: split the update stream over tasklets, record
      * traces, and hand back the DPU's nonzero outputs in its slot.
+     * `indexed` is the DPU's update count by the column index, which
+     * must agree with its block.
      */
     void
     runOneDpu(unsigned dpu, const sparse::SparseVector<Value> &x,
               std::pair<std::size_t, std::size_t> slice,
+              std::uint64_t indexed,
               std::vector<upmem::TaskletTrace> &traces,
               DpuSlot<Value> &dpu_out) const
     {
@@ -276,6 +360,8 @@ class CscSpmspv : public PimMxvKernel<S>
             active.push_back({local, x.values()[k], first, last});
             updates += last - first;
         }
+        ALPHA_ASSERT(updates == indexed,
+                     "column index disagrees with the block");
 
         // Accumulator scratch reused by every DPU this thread
         // emulates. It is all zero between DPUs and only touched rows
@@ -472,6 +558,18 @@ class CscSpmspv : public PimMxvKernel<S>
     NodeId n_;
     Grid2d grid_;
     std::vector<DeviceBlock> blocks_;
+    /// One (column, DPU) pair of the column index.
+    struct ColumnShare
+    {
+        std::uint32_t dpu;     ///< a DPU whose block has the column
+        std::uint32_t entries; ///< its entries in the column
+    };
+    /// Column c's DPUs are shares_[colStart_[c], colStart_[c + 1]).
+    std::vector<std::uint32_t> colStart_;
+    std::vector<ColumnShare> shares_;
+    /// Distinct (colBase, cols) of the blocks, and per block its own.
+    std::vector<std::pair<NodeId, NodeId>> colRanges_;
+    std::vector<std::uint32_t> rangeOf_;
     /// Distinct idle profiles, and per block the index of its own
     /// (both empty when the system simulates every DPU).
     std::vector<upmem::DpuProfile> idleProfiles_;

@@ -16,7 +16,11 @@
  *    for the traces of every DPU: an idle CSC SpMSpV DPU, or any
  *    SpMV DPU after its kernel's first launch. This hook runs
  *    *concurrently* from the launch worker pool, so implementations
- *    must synchronize their own state;
+ *    must synchronize their own state. The order of the calls is
+ *    unspecified. The pool is handed a CSC SpMSpV launch's busy DPUs
+ *    heaviest first (most updates), and the DPUs of every other
+ *    launch, and of every launch under TracesOfEveryDpu, in DPU
+ *    order; a launch of under four DPUs runs serially in that order;
  *  - onLaunchEnd(): once, on the launching thread, after the serial
  *    profile fold, with every DPU's profile in DPU order.
  *

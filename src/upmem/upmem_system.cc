@@ -188,6 +188,9 @@ UpmemSystem::launchKernel(
     ALPHA_ASSERT(known.profiles.empty() ||
                      known.profiles.size() == num_dpus,
                  "known profiles must cover every DPU of the launch");
+    ALPHA_ASSERT(known.weights.empty() ||
+                     known.weights.size() == num_dpus,
+                 "weights must cover every DPU of the launch");
 
     // Replay is the dominant cost of a launch; an observer that only
     // harvests traces (the model checker's capture) turns it off.
@@ -207,7 +210,9 @@ UpmemSystem::launchKernel(
 
     // A DPU whose profile is known takes it here, unless an observer
     // wants every DPU's traces. It reaches the pool only to run its
-    // functional body, if it has one.
+    // functional body, if it has one. The pool hands items out in
+    // order, so sorting by weight starts the heaviest first (Graham's
+    // LPT rule) and no long replay is left to start last.
     std::vector<unsigned> items;
     const bool skipping =
         !known.profiles.empty() &&
@@ -219,6 +224,13 @@ UpmemSystem::launchKernel(
                 items.push_back(d);
             if (profile && replaying)
                 per_dpu_profiles[d] = *profile;
+        }
+        if (!known.weights.empty()) {
+            std::stable_sort(items.begin(), items.end(),
+                             [&](unsigned a, unsigned b) {
+                                 return known.weights[a] >
+                                        known.weights[b];
+                             });
         }
     }
 

@@ -12,6 +12,7 @@
 #ifndef ALPHA_PIM_UPMEM_UPMEM_SYSTEM_HH
 #define ALPHA_PIM_UPMEM_UPMEM_SYSTEM_HH
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -44,6 +45,13 @@ struct KnownProfiles
      * takes its profile on the launching thread and gets no pool
      * item. */
     std::function<void(unsigned)> compute;
+
+    /** Empty, or one entry per DPU: how much work recording and
+     * replaying DPU `dpu` is, in any unit that grows with it (a CSC
+     * SpMSpV DPU's update count). The pool gets the DPUs it runs
+     * heaviest first, ties in DPU order, so a launch's longest replay
+     * starts first, not last. */
+    std::vector<std::uint64_t> weights;
 };
 
 /**
@@ -91,7 +99,9 @@ class UpmemSystem
      * Unless an observer asks for the traces of every DPU, a DPU
      * with a profile in `known` is neither generated, recorded nor
      * replayed: it runs `known.compute`, if there is one, and takes
-     * that profile (zero when replay is off).
+     * that profile (zero when replay is off), and the other DPUs go
+     * to the pool heaviest first by `known.weights`. Otherwise every
+     * DPU goes to the pool in DPU order.
      *
      * @param profiles null, or receives every DPU's profile in DPU
      *                 order, as onLaunchEnd sees them

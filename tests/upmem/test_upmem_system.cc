@@ -61,6 +61,7 @@ class FakeObserver : public LaunchObserver
     {
         std::lock_guard<std::mutex> lock(mutex_);
         ++tracedPerDpu.at(dpu);
+        tracedOrder.push_back(dpu);
     }
 
     void
@@ -74,6 +75,7 @@ class FakeObserver : public LaunchObserver
 
     std::vector<std::string> kernels; ///< one per begun launch
     std::vector<unsigned> tracedPerDpu;
+    std::vector<unsigned> tracedOrder; ///< DPUs in onDpuTraces order
     unsigned ends = 0;
     std::vector<DpuProfile> lastProfiles;
 
@@ -161,8 +163,8 @@ knownProfile()
 KnownProfiles
 knownAfterFirst(unsigned dpus, const DpuProfile &profile)
 {
-    KnownProfiles known{std::vector<const DpuProfile *>(dpus, &profile),
-                        {}};
+    KnownProfiles known;
+    known.profiles.assign(dpus, &profile);
     known.profiles[0] = nullptr;
     return known;
 }
@@ -431,6 +433,60 @@ TEST(LaunchObserver, KnownProfilesSkipRecordingAndReplay)
         }
         EXPECT_EQ(obs->lastProfiles[0].totalCycles > 0, replaying);
     }
+}
+
+namespace
+{
+
+/**
+ * The order in which one launch of `dpus` DPUs records its DPUs, on a
+ * system whose observer has `requirements`. `weights` as in
+ * KnownProfiles; DPUs with weight 0 have a known profile. Launches
+ * of under four items run serially on the caller, in item order.
+ */
+std::vector<unsigned>
+recordedOrder(unsigned requirements, unsigned dpus,
+              std::vector<std::uint64_t> weights, bool pass_weights = true)
+{
+    const DpuProfile idle = knownProfile();
+    const auto obs = std::make_shared<FakeObserver>(requirements);
+    const UpmemSystem sys(smallConfig(dpus), {obs});
+    KnownProfiles known;
+    for (const std::uint64_t w : weights)
+        known.profiles.push_back(w == 0 ? &idle : nullptr);
+    if (pass_weights)
+        known.weights = std::move(weights);
+    sys.launchKernel(dpus, staircase, {}, known);
+    return obs->tracedOrder;
+}
+
+} // namespace
+
+TEST(LaunchOrder, BusyDpusRunHeaviestFirst)
+{
+    using Order = std::vector<unsigned>;
+    EXPECT_EQ(recordedOrder(0, 8, {2, 0, 9, 0, 0, 5, 0, 0}),
+              (Order{2, 5, 0}));
+    // A stable sort: ties stay in DPU order.
+    EXPECT_EQ(recordedOrder(0, 8, {4, 0, 4, 0, 0, 9, 0, 0}),
+              (Order{5, 0, 2}));
+    EXPECT_EQ(recordedOrder(0, 3, {1, 2, 3}), (Order{2, 1, 0}));
+}
+
+TEST(LaunchOrder, NoWeightsKeepDpuOrder)
+{
+    EXPECT_EQ(recordedOrder(0, 8, {2, 0, 9, 0, 0, 5, 0, 0}, false),
+              (std::vector<unsigned>{0, 2, 5}));
+}
+
+TEST(LaunchOrder, TracesOfEveryDpuKeepDpuOrder)
+{
+    // Every DPU is recorded, idle or not, in DPU order, so the trace
+    // checker and the capture see what they saw before weights.
+    EXPECT_EQ(recordedOrder(LaunchObserver::TracesOfEveryDpu, 3, {1, 0, 3}),
+              (std::vector<unsigned>{0, 1, 2}));
+    EXPECT_EQ(recordedOrder(LaunchObserver::TracesOfEveryDpu, 3, {1, 2, 3}),
+              (std::vector<unsigned>{0, 1, 2}));
 }
 
 TEST(LaunchObserver, KnownProfilesWithABodyRunItInsteadOfRecording)
